@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 
 use parmonc_faults::{FaultHandle, FaultKind};
 use parmonc_ipc::{
-    ChildTransport, JoinOptions, LeaseSnapshot, ListenOptions, ProcessTransport, SpawnOptions,
-    TcpCollectorTransport, TcpWorkerTransport, WorkerInfo,
+    JoinOptions, LeaseSnapshot, ListenOptions, SpawnOptions, TcpCollectorTransport,
+    TcpWorkerTransport,
 };
 use parmonc_mpi::Transport as Comm;
 use parmonc_mpi::{Bytes, CollectionPlan, Envelope, MpiError, World};
@@ -211,7 +211,8 @@ fn resume_baseline(
 /// With [`Transport::Processes`], this call is also the worker-side
 /// entry point: a re-executed worker process runs the user program up
 /// to this call, where the `PARMONC_WORKER_*` environment diverts it
-/// into the worker loop and the process exits without returning.
+/// into the join path and the worker loop, and the process exits
+/// without returning.
 ///
 /// # Errors
 ///
@@ -223,11 +224,21 @@ where
     match config.transport {
         Transport::Processes => {
             if let Some(info) = parmonc_ipc::worker_env() {
-                run_worker_process(&info, &config, &realize);
+                // The re-executed user `main` continues past `run()` in
+                // the parent only.
+                let digest = info.join_digest(config.wire_digest());
+                let code = match run_socket_worker(&config, &realize, info.endpoint(), digest) {
+                    Ok(()) => 0,
+                    Err(e) => {
+                        eprintln!("parmonc worker (pid {}): {e}", std::process::id());
+                        1
+                    }
+                };
+                std::process::exit(code);
             }
-            run_processes(config, realize)
+            run_socket_collector(config, realize)
         }
-        Transport::Tcp => run_tcp_collector(config, realize),
+        Transport::Tcp => run_socket_collector(config, realize),
         Transport::Threads => run_threads(config, realize),
     }
 }
@@ -429,81 +440,54 @@ where
     finish(&config, setup, start, outcome)
 }
 
-/// The process backend, parent side: spawn the workers, run the
-/// collector loop over the socket world, then tear the world down
-/// before folding the report.
-fn run_processes<R>(config: RunConfig, realize: R) -> Result<RunReport, ParmoncError>
-where
-    R: Realize + Sync,
-{
-    let start = Instant::now();
-    let setup = prepare(&config, RunTransport::Processes)?;
-    let plan = config.collection_plan();
-    let mut transport = ProcessTransport::spawn(SpawnOptions {
-        size: config.processors,
-        monitor: setup.monitor.clone(),
-        faults: setup.faults.clone(),
-        worker_args: config.worker_args.clone(),
-        trace_spans: config.trace_spans,
-        parents: (1..config.processors)
-            .map(|r| plan.parent(r).unwrap_or(0))
-            .collect(),
-    })
-    .io_ctx("spawning worker processes")?;
-    let result = rank0_loop(
-        &mut transport,
-        &config,
-        &setup.hierarchy,
-        &setup.dir,
-        setup.baseline.clone(),
-        &realize,
-        start,
-        &setup.monitor,
-        &setup.faults,
-        None,
-    );
-    // Reap the children before propagating any collector error, so no
-    // failure path leaks worker processes; shutdown also joins the
-    // socket readers, guaranteeing every forwarded worker event is in
-    // the sinks before the epilogue folds the trace.
-    let shutdown = transport.shutdown();
-    let outcome = result?;
-    shutdown.io_ctx("shutting down worker processes")?;
-    finish(&config, setup, start, outcome)
-}
-
-/// The TCP backend, collector side: bind the listener, record the
-/// actually bound address in `parmonc_data/collector.addr`, then run
-/// the identical collector loop over the elastic-membership TCP world.
+/// The collector side of both socket backends, over one link layer.
 ///
-/// Unlike the process backend nobody is spawned here: every worker
-/// rank starts life as an *unleased* slot. Remote workers started with
+/// For [`Transport::Processes`] the world is spawned: rank 0 listens on
+/// a private Unix socket and re-executes the binary once per worker,
+/// and each child joins like a remote host. For [`Transport::Tcp`]
+/// nobody is spawned: rank 0 binds the configured address, records the
+/// actually bound one in `parmonc_data/collector.addr`, and every
+/// worker rank starts life as an *unleased* slot. Remote workers
+/// started with
 /// [`ParmoncBuilder::run_worker`](crate::config::ParmoncBuilder::run_worker)
 /// dial in and lease slots; slots that never join go quiet past the
 /// liveness timeout and their budget is reassigned exactly as if a
 /// spawned worker had died — the estimate stays bit-identical either
 /// way because stream coordinates are fixed by `(seqnum, rank)`.
-fn run_tcp_collector<R>(config: RunConfig, realize: R) -> Result<RunReport, ParmoncError>
+fn run_socket_collector<R>(config: RunConfig, realize: R) -> Result<RunReport, ParmoncError>
 where
     R: Realize + Sync,
 {
     let start = Instant::now();
-    let Some(addr) = config.listen_addr.clone() else {
-        return Err(ParmoncError::Config(
-            "the TCP transport needs a listen address on the collector: use \
-             .net(NetOptions::listen(\"host:port\")) (workers use .net(NetOptions::join(addr)) \
-             + run_worker)"
-                .into(),
-        ));
+    let spawn = config.transport == Transport::Processes;
+    let addr = match config.listen_addr.clone() {
+        Some(addr) => addr,
+        // The spawn picks its own socket.
+        None if spawn => String::new(),
+        None => {
+            return Err(ParmoncError::Config(
+                "the TCP transport needs a listen address on the collector: use \
+                 .net(NetOptions::listen(\"host:port\")) (workers use \
+                 .net(NetOptions::join(addr)) + run_worker)"
+                    .into(),
+            ))
+        }
     };
-    let setup = prepare(&config, RunTransport::Tcp)?;
+    let setup = prepare(
+        &config,
+        if spawn {
+            RunTransport::Processes
+        } else {
+            RunTransport::Tcp
+        },
+    )?;
     let quotas: Vec<u64> = (1..config.processors).map(|m| config.quota(m)).collect();
-    // Crash-resume: reload the crashed session's lease table so the
-    // listener comes back with the same epoch, every lease a worker
+    // Crash-resume (TCP): reload the crashed session's lease table so
+    // the listener comes back with the same epoch, every lease a worker
     // holds is recognized on rejoin, and the sequence dedup state
     // carries over. Rank 0's own progress comes back from its worker
     // subtotal file, exactly like any other rank's.
-    let resume = if config.resume_collector {
+    let resume = if config.resume_collector && !spawn {
         let path = setup.dir.lease_table_path();
         let text = setup
             .dir
@@ -534,7 +518,7 @@ where
         None
     };
     let plan = config.collection_plan();
-    let mut transport = TcpCollectorTransport::listen(ListenOptions {
+    let listen = ListenOptions {
         addr,
         size: config.processors,
         monitor: setup.monitor.clone(),
@@ -548,20 +532,28 @@ where
         parents: (1..config.processors)
             .map(|r| plan.parent(r).unwrap_or(0))
             .collect(),
-    })
-    .io_ctx("binding the collector TCP listener")?;
-    if let Some(leases) = resumed_leases {
-        setup.monitor.emit(
-            Some(0),
-            EventKind::CollectorResumed {
-                epoch: format!("{:016x}", transport.epoch()),
-                leases,
-            },
-        );
-    }
-    setup
-        .dir
-        .write_collector_addr(&transport.local_addr().to_string())?;
+    };
+    let mut transport = if spawn {
+        TcpCollectorTransport::spawn(SpawnOptions {
+            listen,
+            worker_args: config.worker_args.clone(),
+        })
+        .io_ctx("spawning worker processes")?
+    } else {
+        let transport =
+            TcpCollectorTransport::listen(listen).io_ctx("binding the collector TCP listener")?;
+        if let Some(leases) = resumed_leases {
+            setup.monitor.emit(
+                Some(0),
+                EventKind::CollectorResumed {
+                    epoch: format!("{:016x}", transport.epoch()),
+                    leases,
+                },
+            );
+        }
+        setup.dir.write_collector_addr(transport.local_addr())?;
+        transport
+    };
     let result = rank0_loop(
         &mut transport,
         &config,
@@ -574,42 +566,46 @@ where
         &setup.faults,
         resume_own,
     );
-    // Tear the world down before folding the report, mirroring the
-    // process backend: shutdown joins the per-connection readers, so
-    // every forwarded worker event is in the sinks before the epilogue
-    // folds the trace.
+    // Tear the world down before propagating any collector error or
+    // folding the report: shutdown reaps a spawned world's children,
+    // so no failure path leaks a worker process, and joins the
+    // per-connection readers, so every forwarded worker event is in
+    // the sinks before the epilogue folds the trace.
     let shutdown = transport.shutdown();
     let outcome = result?;
-    shutdown.io_ctx("shutting down the TCP listener")?;
+    shutdown.io_ctx("shutting down the socket world")?;
     finish(&config, setup, start, outcome)
 }
 
-/// The TCP backend, worker side: dial the collector, lease a rank via
-/// the versioned handshake, then run the identical worker loop. This
-/// is the body behind
-/// [`ParmoncBuilder::run_worker`](crate::config::ParmoncBuilder::run_worker).
-pub(crate) fn run_tcp_worker<R: Realize>(
-    config: RunConfig,
+/// The worker side of both socket backends: dial the collector at
+/// `addr`, lease a rank via the versioned handshake, then run the
+/// identical worker loop. [`ParmoncBuilder::run_worker`] calls this
+/// with the configured collector address; a re-executed process worker
+/// with its parent's socket and the spawn token mixed into
+/// `config_digest`.
+pub(crate) fn run_socket_worker<R: Realize>(
+    config: &RunConfig,
     realize: &R,
+    addr: String,
+    config_digest: u64,
 ) -> Result<(), ParmoncError> {
     let start = Instant::now();
-    let Some(addr) = config.join_addr.clone() else {
-        return Err(ParmoncError::Config(
-            "run_worker needs a collector address: use .join(\"host:port\")".into(),
-        ));
-    };
+    // Each worker builds its own fault handle from the same seeded
+    // plan; fault sequence counters are per-(src, dst, tag) channel,
+    // and a worker only ever *sends* on its own rank's channels, so the
+    // decisions match the shared-handle thread backend exactly.
     let faults = config.faults.build();
     let dir = ResultsDir::create(&config.output_dir)?.with_faults(faults.clone());
     let hierarchy = StreamHierarchy::new(config.leaps);
     let comm = TcpWorkerTransport::join(JoinOptions {
         addr,
-        config_digest: config.wire_digest(),
+        config_digest,
         faults: faults.clone(),
         io_timeout: config.tcp_io_timeout,
         reconnect: config.reconnect,
         clock_skew_s: config.clock_skew_s,
     })
-    .io_ctx("joining the TCP collector")?;
+    .io_ctx("joining the collector")?;
     // The digest already proved both sides agree on the configuration;
     // this cross-check catches quota-dealing bugs, where agreement on
     // the inputs still produced a different split.
@@ -631,7 +627,7 @@ pub(crate) fn run_tcp_worker<R: Realize>(
     let parent = comm.granted_parent();
     worker_loop(
         comm,
-        &config,
+        config,
         &hierarchy,
         &dir,
         realize,
@@ -640,50 +636,6 @@ pub(crate) fn run_tcp_worker<R: Realize>(
         &faults,
         trace_spans,
         parent,
-    )
-}
-
-/// The process backend, worker side: never returns — the worker loop
-/// runs to completion and the process exits, so the re-executed user
-/// `main` continues past `run()` in the parent only.
-fn run_worker_process<R: Realize>(info: &WorkerInfo, config: &RunConfig, realize: &R) -> ! {
-    let code = match worker_process_body(info, config, realize) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("parmonc worker rank {}: {e}", info.rank);
-            1
-        }
-    };
-    std::process::exit(code);
-}
-
-fn worker_process_body<R: Realize>(
-    info: &WorkerInfo,
-    config: &RunConfig,
-    realize: &R,
-) -> Result<(), ParmoncError> {
-    let start = Instant::now();
-    // Each worker builds its own fault handle from the same seeded
-    // plan; fault sequence counters are per-(src, dst, tag) channel,
-    // and this process only ever *sends* on its own rank's channels,
-    // so the decisions match the shared-handle thread backend exactly.
-    let faults = config.faults.build();
-    let dir = ResultsDir::create(&config.output_dir)?.with_faults(faults.clone());
-    let hierarchy = StreamHierarchy::new(config.leaps);
-    let comm = ChildTransport::connect(info, faults.clone())
-        .io_ctx("connecting to the collector socket")?;
-    let monitor = comm.monitor();
-    worker_loop(
-        comm,
-        config,
-        &hierarchy,
-        &dir,
-        realize,
-        start,
-        &monitor,
-        &faults,
-        info.spans,
-        info.parent,
     )
 }
 

@@ -15,8 +15,9 @@
 
 use std::io::{self, Read, Write};
 
-/// The handshake frame a worker sends right after connecting: the
-/// payload is the spawn token, the source is the worker's rank.
+/// Retired: the process backend's old hello handshake (payload = spawn
+/// token). Process worlds now speak the join/grant handshake; the tag
+/// stays reserved and is never sent.
 pub const TAG_IPC_HELLO: u32 = 0xFFFF_FF00;
 
 /// A forwarded monitor event: the payload is one schema-valid

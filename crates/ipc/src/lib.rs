@@ -1,26 +1,34 @@
 //! Socket transports for the PARMONC reproduction: multi-process over
-//! Unix-domain sockets, and multi-host over TCP.
+//! Unix-domain sockets, and multi-host over TCP — one link layer for
+//! both.
 //!
 //! The in-process substrate (`parmonc-mpi`) runs ranks as OS threads;
 //! this crate runs them as *processes*, which is the paper's actual
 //! deployment shape: every rank has its own address space and RNG
-//! state, and all communication crosses a real kernel boundary. The
-//! [`tcp`] module extends the same envelope framing across machine
-//! boundaries, with elastic worker membership (see its module docs
-//! and `docs/wire-protocol.md`).
+//! state, and all communication crosses a real kernel boundary.
 //!
-//! The world is built by re-execution, like `mpirun` without the
-//! launcher: rank 0 ([`ProcessTransport::spawn`]) re-executes the
-//! current binary once per worker with the `PARMONC_WORKER_*`
-//! environment set; the runner's first action is to check
-//! [`worker_env`] and divert into the worker loop, so the same user
-//! program binary serves as both collector and workers. Messages are
-//! the same length-prefixed [`parmonc_mpi::Envelope`]s the thread
-//! substrate moves over channels, framed onto Unix-domain sockets
-//! ([`frame`]); worker monitor events ride the same stream and are
-//! re-emitted into the parent's run trace.
+//! The [`tcp`] module is the link layer: a collector listens on an
+//! endpoint, workers dial in, complete the versioned join/grant
+//! handshake (`docs/wire-protocol.md`) and lease a rank, with elastic
+//! membership, sequence-number dedup, clock alignment and automatic
+//! reconnect. The endpoint is a TCP address for remote hosts, or
+//! `unix:<path>` for a Unix-domain socket; one stream type carries
+//! both, so every mechanism is written once.
 //!
-//! Both transports implement [`parmonc_mpi::Transport`], so the
+//! The process backend is that same link plus re-execution, like
+//! `mpirun` without the launcher: rank 0
+//! ([`TcpCollectorTransport::spawn`]) listens on a private Unix socket
+//! and re-executes the current binary once per worker with the socket
+//! path and a spawn token in the `PARMONC_WORKER_*` environment; the
+//! runner's first action is to check [`worker_env`] and divert into
+//! the ordinary join path, so the same user program binary serves as
+//! both collector and workers. Messages are the same length-prefixed
+//! [`parmonc_mpi::Envelope`]s the thread substrate moves over
+//! channels, framed onto the socket ([`frame`]); worker monitor events
+//! ride the same stream and are re-emitted into the collector's run
+//! trace.
+//!
+//! Both ends implement [`parmonc_mpi::Transport`], so the
 //! collector/worker code in `parmonc` is identical across substrates
 //! — and because each rank completes exactly its assigned quota of
 //! leapfrogged RNG streams, estimates are bit-identical to the thread
@@ -37,6 +45,7 @@ pub mod faulty;
 pub mod frame;
 mod link;
 mod reuse;
+mod stream;
 pub mod tcp;
 mod transport;
 mod worker;
@@ -48,5 +57,5 @@ pub use reuse::bind_reuseaddr;
 pub use tcp::{
     JoinOptions, LeaseSnapshot, ListenOptions, TcpCollectorTransport, TcpWorkerTransport,
 };
-pub use transport::{ChildTransport, ProcessTransport, SpawnOptions};
+pub use transport::SpawnOptions;
 pub use worker::{is_worker, worker_env, WorkerInfo, WORKER_FLAG};

@@ -1,8 +1,13 @@
-//! The multi-host TCP backend: one collector listening on a socket
-//! address, remote workers dialing in — with *elastic* membership and
-//! automatic recovery on both sides of every link.
+//! The socket link layer: one collector listening on an endpoint,
+//! workers dialing in — with *elastic* membership and automatic
+//! recovery on both sides of every link.
 //!
-//! Unlike the Unix-socket backend, the world is not built by spawning:
+//! The endpoint is a TCP address (the multi-host backend) or a
+//! Unix-domain socket path written `unix:<path>` (the process backend,
+//! whose spawned children join exactly like remote hosts; see
+//! [`TcpCollectorTransport::spawn`]). Both kinds run the same code
+//! below over one stream type.
+//!
 //! [`TcpCollectorTransport::listen`] binds a listener and returns
 //! immediately with zero workers connected. Each logical worker rank
 //! is a *lease*: a dialing worker completes the versioned
@@ -61,10 +66,9 @@
 //! exactly-once survives reconnect replays.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,6 +78,7 @@ use parmonc_mpi::envelope::{Envelope, Tag};
 use parmonc_mpi::error::MpiError;
 use parmonc_mpi::pool::BufferPool;
 use parmonc_mpi::transport::Transport;
+use parmonc_mpi::SendGate;
 use parmonc_obs::{EventKind, Monitor, SpanEmitter, SpanPhase};
 
 use crate::backoff::{splitmix64, Backoff, ReconnectPolicy};
@@ -85,16 +90,24 @@ use crate::frame::{
     TAG_TCP_JOIN, TAG_TCP_REJECT, TAG_TCP_REJOIN, TCP_MAGIC, TCP_PROTOCOL_VERSION,
 };
 use crate::link::{
-    pump_frames, ForwardSink, InboxStats, LinkClock, LinkHooks, Mailbox, SendGate, WireTelemetry,
+    pump_frames, ForwardSink, InboxStats, LinkClock, LinkHooks, Mailbox, WireTelemetry,
 };
+use crate::stream::{Listener, Stream};
+use crate::transport::Spawned;
 
 /// How often a blocked reader wakes to check the stop flag — the
 /// kernel receive timeout under [`PatientReader`].
 const READ_POLL: Duration = Duration::from_millis(50);
 
-/// How long the acceptor sleeps between polls of the non-blocking
-/// listener.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// The acceptor's shortest and longest sleep between polls of the
+/// non-blocking listener. The sleep starts short, because joins wait
+/// on it, and doubles per idle poll up to the cap, so an idle link
+/// layer wakes a few times a second; shutdown interrupts it.
+const ACCEPT_POLL_MIN: Duration = Duration::from_millis(1);
+const ACCEPT_POLL_MAX: Duration = Duration::from_millis(50);
+
+/// Rings the acceptor out of its idle sleep at shutdown.
+type Doorbell = Arc<(Mutex<()>, Condvar)>;
 
 /// How often a monitored worker refreshes its clock-offset estimate by
 /// piggybacking a [`TAG_TCP_CLOCK_PROBE`] on an outgoing send. Clock
@@ -103,7 +116,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 const CLOCK_SYNC_INTERVAL_S: f64 = 2.0;
 
 /// A fresh, non-zero session epoch for a newly armed collector. Drawn
-/// from the wall clock and pid (like the Unix backend's spawn token),
+/// from the wall clock and pid (like the process backend's spawn token),
 /// which never feeds the estimates — bit-identity is unaffected.
 fn fresh_epoch() -> u64 {
     let nanos = std::time::SystemTime::now()
@@ -121,7 +134,7 @@ fn fresh_epoch() -> u64 {
 /// liveness plane on heartbeat evidence, not by the transport.
 #[derive(Debug)]
 struct PatientReader {
-    inner: TcpStream,
+    inner: Stream,
     stop: Arc<AtomicBool>,
 }
 
@@ -245,7 +258,7 @@ impl LeaseSnapshot {
 struct LeaseState {
     /// Write halves indexed by `rank - 1`; `None` while the rank is
     /// unleased or after its connection dropped.
-    writers: Vec<Option<Arc<Mutex<TcpStream>>>>,
+    writers: Vec<Option<Arc<Mutex<Stream>>>>,
     /// Ranks that have been leased at least once. Fresh joiners are
     /// dealt never-touched ranks first: a rank whose worker already
     /// completed frees its slot on disconnect, and handing that slot
@@ -282,7 +295,7 @@ impl LeaseState {
     /// streams is idempotent under replace-then-sum), or `None` when
     /// every rank is either connected or retired. Returns the rank and
     /// the new connection generation.
-    fn lease(&mut self, writer: Arc<Mutex<TcpStream>>) -> Option<(usize, u64)> {
+    fn lease(&mut self, writer: Arc<Mutex<Stream>>) -> Option<(usize, u64)> {
         let free = |&(_, (w, &retired)): &(usize, (&Option<_>, &bool))| -> bool {
             w.is_none() && !retired
         };
@@ -322,7 +335,7 @@ impl LeaseState {
     /// holds, replacing (and hanging up) any half-open previous
     /// connection. The caller has validated rank bounds, epoch and
     /// digest; this refuses only never-leased and retired ranks.
-    fn rejoin(&mut self, rank: usize, writer: Arc<Mutex<TcpStream>>) -> Result<u64, &'static str> {
+    fn rejoin(&mut self, rank: usize, writer: Arc<Mutex<Stream>>) -> Result<u64, &'static str> {
         let i = rank - 1;
         if !self.ever_leased[i] {
             return Err("rejoin names a rank that was never leased");
@@ -334,7 +347,7 @@ impl LeaseState {
             // The previous connection is half-open (the worker saw the
             // break first). Hang it up so its reader exits promptly.
             if let Ok(stream) = old.lock() {
-                let _ = stream.shutdown(Shutdown::Both);
+                let _ = stream.shutdown();
             }
         }
         self.writers[i] = Some(writer);
@@ -386,9 +399,10 @@ fn persist_lease_table(path: &std::path::Path, snapshot: &LeaseSnapshot) {
 /// Configuration for [`TcpCollectorTransport::listen`].
 #[derive(Debug)]
 pub struct ListenOptions {
-    /// The address to listen on, e.g. `0.0.0.0:7717` or `127.0.0.1:0`
-    /// (port 0 picks an ephemeral port; read it back with
-    /// [`TcpCollectorTransport::local_addr`]).
+    /// The endpoint to listen on: a TCP address, e.g. `0.0.0.0:7717`
+    /// or `127.0.0.1:0` (port 0 picks an ephemeral port; read it back
+    /// with [`TcpCollectorTransport::local_addr`]), or a Unix-domain
+    /// socket path written `unix:<path>`.
     pub addr: String,
     /// World size including the collector: the number of logical
     /// ranks, i.e. leases, is `size - 1`.
@@ -437,6 +451,7 @@ pub struct ListenOptions {
 /// Everything a handshake thread needs to admit a joiner.
 struct AcceptorCtx {
     stop: Arc<AtomicBool>,
+    doorbell: Doorbell,
     lease: Arc<Mutex<LeaseState>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     /// In-flight handshake threads (see [`accept_loop`]); joined at
@@ -455,8 +470,9 @@ struct AcceptorCtx {
     parents: Vec<usize>,
 }
 
-/// Rank 0 of a TCP world: the listener, lease table, and
-/// collector-side transport.
+/// Rank 0 of a socket world: the listener, lease table, and
+/// collector-side transport — and, for a spawned world, the owner of
+/// the worker processes.
 ///
 /// Construction returns with *zero* workers connected; membership is
 /// elastic. A logical rank that never connects is eventually declared
@@ -474,12 +490,15 @@ pub struct TcpCollectorTransport {
     self_tx: Sender<Envelope>,
     lease: Arc<Mutex<LeaseState>>,
     epoch: u64,
-    local_addr: SocketAddr,
+    local_addr: String,
     stop: Arc<AtomicBool>,
+    doorbell: Doorbell,
     acceptor: Option<JoinHandle<()>>,
     handshakes: Arc<Mutex<Vec<JoinHandle<()>>>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     persist: Option<std::path::PathBuf>,
+    /// The worker processes of a spawned world, reaped at shutdown.
+    pub(crate) spawned: Option<Spawned>,
     shut_down: bool,
 }
 
@@ -512,9 +531,8 @@ impl TcpCollectorTransport {
                 ));
             }
         }
-        let listener = crate::reuse::bind_reuseaddr(opts.addr.as_str())?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let listener = Listener::bind(&opts.addr)?;
+        let local_addr = listener.endpoint()?;
 
         let (tx, rx) = mpsc::channel();
         let stats = Arc::new(InboxStats::default());
@@ -562,8 +580,10 @@ impl TcpCollectorTransport {
             }
         }
 
+        let doorbell = Doorbell::default();
         let ctx = Arc::new(AcceptorCtx {
             stop: Arc::clone(&stop),
+            doorbell: Arc::clone(&doorbell),
             lease: Arc::clone(&lease),
             readers: Arc::clone(&readers),
             handshakes: Arc::clone(&handshakes),
@@ -580,7 +600,7 @@ impl TcpCollectorTransport {
             parents: opts.parents,
         });
         let acceptor = std::thread::Builder::new()
-            .name("parmonc-tcp-accept".into())
+            .name("parmonc-link-accept".into())
             .spawn(move || accept_loop(&listener, &ctx))?;
 
         Ok(Self {
@@ -588,27 +608,36 @@ impl TcpCollectorTransport {
             pool: BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY),
             monitor: opts.monitor.clone(),
             gate: SendGate::new(0, opts.faults, opts.monitor.clone()),
-            mailbox: Mailbox::new(0, rx, opts.monitor, Some(Arc::clone(&stats))),
+            mailbox: Mailbox::new(0, rx, opts.monitor, Arc::clone(&stats)),
             stats,
             self_tx: tx,
             lease,
             epoch,
             local_addr,
             stop,
+            doorbell,
             acceptor: Some(acceptor),
             handshakes,
             readers,
             persist: opts.persist,
+            spawned: None,
             shut_down: false,
         })
     }
 
-    /// The bound listening address — with port 0 in
+    /// The bound endpoint, in the form workers dial — with port 0 in
     /// [`ListenOptions::addr`], this is where the ephemeral port is
     /// learned.
     #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+    pub fn local_addr(&self) -> &str {
+        &self.local_addr
+    }
+
+    /// How many worker ranks have ever been leased.
+    pub(crate) fn leased(&self) -> usize {
+        self.lease.lock().map_or(0, |l| {
+            l.ever_leased.iter().filter(|&&leased| leased).count()
+        })
     }
 
     /// The session epoch announced in every grant: fresh for a new
@@ -635,17 +664,21 @@ impl TcpCollectorTransport {
         }
     }
 
-    fn raw_send(&self, dest: usize, tag: Tag, payload: &Bytes) -> Result<(), MpiError> {
+    /// The unfaulted delivery behind the send gate: rank 0's own inbox,
+    /// or one frame on the destination's live connection.
+    fn deliver(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
+        let bytes = payload.len();
         if dest == 0 {
             self.stats.note_enqueue(&self.monitor, 0);
-            return self
-                .self_tx
+            self.self_tx
                 .send(Envelope {
                     source: 0,
                     tag,
-                    payload: payload.clone(),
+                    payload,
                 })
-                .map_err(|_| MpiError::Disconnected);
+                .map_err(|_| MpiError::Disconnected)?;
+            self.gate.note_sent(dest, tag, bytes);
+            return Ok(());
         }
         let (writer, wire) = {
             let lease = self.lease.lock().map_err(|_| MpiError::Disconnected)?;
@@ -658,20 +691,24 @@ impl TcpCollectorTransport {
             (writer, Arc::clone(&lease.wire[dest - 1]))
         };
         let mut stream = writer.lock().map_err(|_| MpiError::Disconnected)?;
-        write_frame(&mut *stream, 0, tag.0, payload).map_err(|_| MpiError::Disconnected)?;
-        wire.count_out(FRAME_HEADER_LEN + payload.len());
+        write_frame(&mut *stream, 0, tag.0, &payload).map_err(|_| MpiError::Disconnected)?;
+        wire.count_out(FRAME_HEADER_LEN + bytes);
+        self.gate.note_sent(dest, tag, bytes);
         Ok(())
     }
 
-    /// Tears the world down: force-flushes fault-delayed sends, raises
-    /// the stop flag, shuts every live connection down (remote workers
-    /// see EOF), and joins the acceptor and reader threads — which
-    /// guarantees every forwarded worker event is in the monitor's
-    /// sinks on return. Idempotent.
+    /// Tears the world down: force-flushes fault-delayed sends, reaps a
+    /// spawned world's worker processes (they exit on their own after
+    /// the run's stop broadcast, or are killed past the exit deadline),
+    /// raises the stop flag, shuts every live connection down (remote
+    /// workers see EOF), and joins the acceptor and reader threads —
+    /// which guarantees every forwarded worker event is in the
+    /// monitor's sinks on return. Idempotent.
     ///
     /// # Errors
     ///
-    /// None today; the signature reserves the right.
+    /// The first wait/kill error while reaping worker processes, after
+    /// every child is reaped anyway.
     pub fn shutdown(&mut self) -> io::Result<()> {
         if self.shut_down {
             return Ok(());
@@ -679,12 +716,20 @@ impl TcpCollectorTransport {
         self.shut_down = true;
         let _ = self
             .gate
-            .flush_delayed(true, &|d, t, p| self.raw_send(d, t, p));
+            .flush_delayed(true, &|d, t, p| self.deliver(d, t, p));
+        // Children first: each reader keeps draining its worker's final
+        // events and wire totals until the worker hangs up by exiting.
+        let reaped = self.spawned.as_mut().map_or(Ok(()), Spawned::reap);
         self.stop.store(true, Ordering::Relaxed);
+        // Under the doorbell lock, so the acceptor cannot miss the ring
+        // between its stop check and its sleep.
+        if let Ok(_guard) = self.doorbell.0.lock() {
+            self.doorbell.1.notify_all();
+        }
         if let Ok(lease) = self.lease.lock() {
             for writer in lease.writers.iter().flatten() {
                 if let Ok(stream) = writer.lock() {
-                    let _ = stream.shutdown(Shutdown::Both);
+                    let _ = stream.shutdown();
                 }
             }
         }
@@ -713,12 +758,22 @@ impl TcpCollectorTransport {
                 *writer = None;
             }
         }
-        Ok(())
+        // Only after the readers: the socket directory holds the
+        // listening socket.
+        self.spawned = None;
+        reaped
     }
 }
 
 impl Drop for TcpCollectorTransport {
     fn drop(&mut self) {
+        // Unclean teardown (panic or early error): kill spawned workers
+        // at once rather than waiting out the exit deadline.
+        if !self.shut_down {
+            if let Some(spawned) = &mut self.spawned {
+                spawned.kill();
+            }
+        }
         let _ = self.shutdown();
     }
 }
@@ -752,7 +807,7 @@ impl Transport for TcpCollectorTransport {
             });
         }
         self.gate
-            .send(dest, tag, payload, &|d, t, p| self.raw_send(d, t, p))
+            .send(dest, tag, payload, &|d, t, p| self.deliver(d, t, p))
     }
 
     fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
@@ -799,13 +854,15 @@ impl Transport for TcpCollectorTransport {
 /// inline would let one stalled dialer block every other join — and,
 /// worse, the rejoins of healthy reconnecting workers — for up to
 /// `io_timeout` per such connection.
-fn accept_loop(listener: &TcpListener, ctx: &Arc<AcceptorCtx>) {
+fn accept_loop(listener: &Listener, ctx: &Arc<AcceptorCtx>) {
+    let mut idle = ACCEPT_POLL_MIN;
     while !ctx.stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, peer)) => {
+                idle = ACCEPT_POLL_MIN;
                 let hs_ctx = Arc::clone(ctx);
                 let spawned = std::thread::Builder::new()
-                    .name("parmonc-tcp-hs".into())
+                    .name("parmonc-link-hs".into())
                     .spawn(move || {
                         let _ = admit(stream, peer, &hs_ctx);
                     });
@@ -828,7 +885,15 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<AcceptorCtx>) {
             }
             // WouldBlock is the idle case; any other accept error is
             // transient on a healthy listener, so keep serving.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => {
+                let (lock, bell) = &*ctx.doorbell;
+                if let Ok(guard) = lock.lock() {
+                    if !ctx.stop.load(Ordering::Relaxed) {
+                        let _ = bell.wait_timeout(guard, idle);
+                    }
+                }
+                idle = (idle * 2).min(ACCEPT_POLL_MAX);
+            }
         }
     }
 }
@@ -837,8 +902,8 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<AcceptorCtx>) {
 /// on success, leases it a rank, answers with the grant, and wires up
 /// its reader. Invalid requests are answered with a reject frame and
 /// dropped; a failure here never disturbs the rest of the world.
-fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<()> {
-    stream.set_nodelay(true)?;
+fn admit(stream: Stream, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<()> {
+    stream.set_nodelay()?;
     stream.set_read_timeout(Some(ctx.io_timeout))?;
     stream.set_write_timeout(Some(ctx.io_timeout))?;
     let frame = match read_frame(&mut &stream)? {
@@ -1040,7 +1105,7 @@ fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<(
             Some(0),
             EventKind::WorkerJoined {
                 worker: rank,
-                addr: Some(peer.to_string()),
+                addr: peer,
             },
         );
     }
@@ -1124,7 +1189,7 @@ fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<(
         })
     };
     let spawned = std::thread::Builder::new()
-        .name(format!("parmonc-tcp-w{rank}"))
+        .name(format!("parmonc-link-w{rank}"))
         .spawn({
             let tx = ctx.tx.clone();
             let monitor = ctx.monitor.clone();
@@ -1137,12 +1202,12 @@ fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<(
                     LinkHooks {
                         monitor: monitor.clone(),
                         local_rank: 0,
-                        stats: Some(stats),
+                        stats,
                         expect_source: Some(rank as u32),
                         dedup: Some(last_seq),
-                        wire: Some(Arc::clone(&wire)),
+                        wire: Arc::clone(&wire),
                         clock: Some(clock),
-                        clock_responder: Some(responder),
+                        clock_responder: responder,
                         route: Some(route),
                     },
                 );
@@ -1180,21 +1245,22 @@ fn admit(stream: TcpStream, peer: SocketAddr, ctx: &AcceptorCtx) -> io::Result<(
 
 /// Answers a refused join with a reject frame and closes the
 /// connection.
-fn reject(stream: &TcpStream, code: RejectCode, reason: &str) -> io::Result<()> {
+fn reject(stream: &Stream, code: RejectCode, reason: &str) -> io::Result<()> {
     let payload = Reject {
         code,
         reason: reason.to_string(),
     }
     .encode();
     let _ = write_frame(&mut &*stream, 0, TAG_TCP_REJECT, &payload);
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = stream.shutdown();
     Ok(())
 }
 
 /// Configuration for [`TcpWorkerTransport::join`].
 #[derive(Debug)]
 pub struct JoinOptions {
-    /// The collector's listening address, e.g. `collector-host:7717`.
+    /// The collector's endpoint, e.g. `collector-host:7717`, or
+    /// `unix:<path>` for a Unix-domain socket.
     pub addr: String,
     /// Digest of this worker's run configuration; must match the
     /// collector's or the join is rejected.
@@ -1224,25 +1290,8 @@ enum HandshakeError {
     Permanent(io::Error),
 }
 
-/// Resolves and dials `addr`, trying each resolved address once.
-fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-    let mut last_err = None;
-    for candidate in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&candidate, timeout) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::AddrNotAvailable,
-            "collector address resolved to nothing",
-        )
-    }))
-}
-
 /// Reads and classifies the collector's handshake reply.
-fn read_grant(stream: &TcpStream) -> Result<Grant, HandshakeError> {
+fn read_grant(stream: &Stream) -> Result<Grant, HandshakeError> {
     let reply = read_frame(&mut &*stream)
         .map_err(HandshakeError::Transient)?
         .ok_or_else(|| {
@@ -1284,7 +1333,7 @@ fn read_grant(stream: &TcpStream) -> Result<Grant, HandshakeError> {
 /// skipped entirely while the link is severed (the next rejoin grant
 /// re-syncs instead).
 fn clock_reply_responder(
-    writer: Arc<Mutex<FaultyStream<TcpStream>>>,
+    writer: Arc<Mutex<FaultyStream<Stream>>>,
     wire: Arc<WireTelemetry>,
     rank: usize,
     local_now: impl Fn() -> f64 + Send + 'static,
@@ -1310,7 +1359,7 @@ fn clock_reply_responder(
     })
 }
 
-/// A remote worker's end of a TCP world: dials the collector,
+/// A worker's end of a socket world: dials the collector,
 /// completes the handshake, and speaks for exactly the rank it was
 /// leased. A broken connection does not kill the worker — sends
 /// transparently re-dial on the seeded [`ReconnectPolicy`] schedule,
@@ -1329,7 +1378,7 @@ pub struct TcpWorkerTransport {
     monitor: Monitor,
     gate: SendGate,
     mailbox: Mailbox,
-    writer: Arc<Mutex<FaultyStream<TcpStream>>>,
+    writer: Arc<Mutex<FaultyStream<Stream>>>,
     stop: Arc<AtomicBool>,
     reader: Mutex<Option<JoinHandle<()>>>,
     /// Readers orphaned by reconnects; they exit on their own once
@@ -1396,9 +1445,9 @@ impl TcpWorkerTransport {
         let skew_s = opts.clock_skew_s;
         let local_now = move || clock_epoch.elapsed().as_secs_f64() + skew_s;
         let stream = crate::backoff::retry(opts.reconnect, dial_seed, |_| {
-            dial(&opts.addr, dial_timeout)
+            Stream::dial(&opts.addr, dial_timeout)
         })?;
-        stream.set_nodelay(true)?;
+        stream.set_nodelay()?;
         stream.set_read_timeout(Some(opts.io_timeout))?;
         stream.set_write_timeout(Some(opts.io_timeout))?;
         let wire = Arc::new(WireTelemetry::default());
@@ -1459,42 +1508,9 @@ impl TcpWorkerTransport {
             Monitor::disabled()
         };
         let spans = SpanEmitter::new(&monitor, rank, grant.spans);
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(InboxStats::default());
         let (tx, rx) = mpsc::channel();
-        let patient = PatientReader {
-            inner: stream,
-            stop: Arc::clone(&stop),
-        };
-        let thread_monitor = monitor.clone();
-        let thread_stats = Arc::clone(&stats);
-        let thread_tx = tx.clone();
-        let responder =
-            clock_reply_responder(Arc::clone(&writer), Arc::clone(&wire), rank, local_now);
-        let thread_wire = Arc::clone(&wire);
-        let reader = std::thread::Builder::new()
-            .name(format!("parmonc-tcp-r{rank}"))
-            .spawn(move || {
-                pump_frames(
-                    patient,
-                    thread_tx,
-                    LinkHooks {
-                        monitor: thread_monitor,
-                        local_rank: rank,
-                        stats: Some(thread_stats),
-                        // Routed frames carry the *origin* rank (a
-                        // relay receives its children's subtotals via
-                        // the hub), so any source is acceptable here.
-                        expect_source: None,
-                        dedup: None,
-                        wire: Some(thread_wire),
-                        clock: None,
-                        clock_responder: Some(responder),
-                        route: None,
-                    },
-                );
-            })?;
-        Ok(Self {
+        let transport = Self {
             rank,
             size,
             quota: grant.quota,
@@ -1502,10 +1518,10 @@ impl TcpWorkerTransport {
             pool: BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY),
             monitor: monitor.clone(),
             gate: SendGate::new(rank, opts.faults.clone(), monitor),
-            mailbox: Mailbox::new(rank, rx, Monitor::disabled(), Some(stats.clone())),
+            mailbox: Mailbox::new(rank, rx, Monitor::disabled(), Arc::clone(&stats)),
             writer,
-            stop,
-            reader: Mutex::new(Some(reader)),
+            stop: Arc::new(AtomicBool::new(false)),
+            reader: Mutex::new(None),
             stale_readers: Mutex::new(Vec::new()),
             tx,
             stats,
@@ -1522,7 +1538,51 @@ impl TcpWorkerTransport {
             skew_s,
             last_sync: AtomicU64::new(t3_s.to_bits()),
             pending_spans: Mutex::new(Vec::new()),
-        })
+        };
+        transport.spawn_reader(stream)?;
+        Ok(transport)
+    }
+
+    /// Starts the uplink reader on `stream`: the collector's frames go
+    /// to the inbox — from any source, since routed frames carry their
+    /// origin rank (a relay receives its children's subtotals via the
+    /// hub) — and clock replies are answered over the writer. A reader
+    /// this replaces exits on its own once its dead socket drains;
+    /// joining it here could deadlock (it may be blocked forwarding an
+    /// event through the writer lock a reconnect holds), so it is
+    /// parked for drop instead.
+    fn spawn_reader(&self, stream: Stream) -> io::Result<()> {
+        let patient = PatientReader {
+            inner: stream,
+            stop: Arc::clone(&self.stop),
+        };
+        let (clock_epoch, skew_s) = (self.clock_epoch, self.skew_s);
+        let hooks = LinkHooks {
+            monitor: self.monitor.clone(),
+            local_rank: self.rank,
+            stats: Arc::clone(&self.stats),
+            expect_source: None,
+            dedup: None,
+            wire: Arc::clone(&self.wire),
+            clock: None,
+            clock_responder: clock_reply_responder(
+                Arc::clone(&self.writer),
+                Arc::clone(&self.wire),
+                self.rank,
+                move || clock_epoch.elapsed().as_secs_f64() + skew_s,
+            ),
+            route: None,
+        };
+        let tx = self.tx.clone();
+        let handle = std::thread::Builder::new()
+            .name(format!("parmonc-link-r{}", self.rank))
+            .spawn(move || pump_frames(patient, tx, hooks))?;
+        if let Ok(mut slot) = self.reader.lock() {
+            if let (Some(old), Ok(mut stale)) = (slot.replace(handle), self.stale_readers.lock()) {
+                stale.push(old);
+            }
+        }
+        Ok(())
     }
 
     /// The worker's monitor: enabled (forwarding over the socket) when
@@ -1563,7 +1623,7 @@ impl TcpWorkerTransport {
     /// fault plane's partition veto — re-attach with a rejoin
     /// handshake, swap the stream under the [`FaultyStream`], and
     /// respawn the reader.
-    fn reconnect_locked(&self, stream: &mut FaultyStream<TcpStream>) -> io::Result<()> {
+    fn reconnect_locked(&self, stream: &mut FaultyStream<Stream>) -> io::Result<()> {
         if self.stop.load(Ordering::Relaxed) {
             return Err(io::Error::new(
                 io::ErrorKind::NotConnected,
@@ -1578,7 +1638,7 @@ impl TcpWorkerTransport {
         // plane broke the link, the kernel socket is still healthy and
         // the collector would otherwise keep the half-open connection
         // (and our rank's writer slot) alive.
-        let _ = stream.get_ref().shutdown(Shutdown::Both);
+        let _ = stream.get_ref().shutdown();
         let mut backoff = Backoff::new(self.reconnect, self.rank as u64);
         let mut last_err: Option<io::Error> = None;
         loop {
@@ -1602,7 +1662,7 @@ impl TcpWorkerTransport {
             }
             let dial_timeout = self.reconnect.attempt_timeout.min(self.io_timeout);
             self.wire.count_dial();
-            let candidate = match dial(&self.addr, dial_timeout) {
+            let candidate = match Stream::dial(&self.addr, dial_timeout) {
                 Ok(s) => s,
                 Err(e) => {
                     last_err = Some(e);
@@ -1610,7 +1670,7 @@ impl TcpWorkerTransport {
                 }
             };
             let configured = candidate
-                .set_nodelay(true)
+                .set_nodelay()
                 .and_then(|()| candidate.set_read_timeout(Some(self.io_timeout)))
                 .and_then(|()| candidate.set_write_timeout(Some(self.io_timeout)));
             if let Err(e) = configured {
@@ -1668,62 +1728,12 @@ impl TcpWorkerTransport {
                     continue;
                 }
             };
-            // The link is back. The old reader exits on its own (its
-            // socket is shut down); joining it here could deadlock —
-            // it may be blocked forwarding an event through the very
-            // writer lock we hold — so it is parked for drop instead.
+            // The link is back: swap the write half under the fault
+            // plane, then start a reader on the new socket.
             stream.replace(write_half);
-            let patient = PatientReader {
-                inner: candidate,
-                stop: Arc::clone(&self.stop),
-            };
-            let thread_monitor = self.monitor.clone();
-            let thread_stats = Arc::clone(&self.stats);
-            let thread_tx = self.tx.clone();
-            let rank = self.rank;
-            let clock_epoch = self.clock_epoch;
-            let skew_s = self.skew_s;
-            let responder = clock_reply_responder(
-                Arc::clone(&self.writer),
-                Arc::clone(&self.wire),
-                rank,
-                move || clock_epoch.elapsed().as_secs_f64() + skew_s,
-            );
-            let thread_wire = Arc::clone(&self.wire);
-            let spawned = std::thread::Builder::new()
-                .name(format!("parmonc-tcp-r{rank}"))
-                .spawn(move || {
-                    pump_frames(
-                        patient,
-                        thread_tx,
-                        LinkHooks {
-                            monitor: thread_monitor,
-                            local_rank: rank,
-                            stats: Some(thread_stats),
-                            // Any source: routed frames carry the
-                            // origin rank (see the join-time reader).
-                            expect_source: None,
-                            dedup: None,
-                            wire: Some(thread_wire),
-                            clock: None,
-                            clock_responder: Some(responder),
-                            route: None,
-                        },
-                    );
-                });
-            match spawned {
-                Ok(handle) => {
-                    if let Ok(mut slot) = self.reader.lock() {
-                        let old = slot.replace(handle);
-                        if let (Some(old), Ok(mut stale)) = (old, self.stale_readers.lock()) {
-                            stale.push(old);
-                        }
-                    }
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
+            if let Err(e) = self.spawn_reader(candidate) {
+                last_err = Some(e);
+                continue;
             }
             if self.spans.is_enabled() {
                 if let Ok(mut pending) = self.pending_spans.lock() {
@@ -1734,7 +1744,9 @@ impl TcpWorkerTransport {
         }
     }
 
-    fn raw_send(&self, dest: usize, tag: Tag, payload: &Bytes) -> Result<(), MpiError> {
+    /// The unfaulted delivery behind the send gate: one sequenced
+    /// frame on the uplink, reconnecting once if the link is broken.
+    fn deliver(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
         if dest >= self.size {
             return Err(MpiError::Disconnected);
         }
@@ -1746,9 +1758,9 @@ impl TcpWorkerTransport {
         let (wire_tag, wrapped);
         let on_wire: &[u8] = if dest == 0 {
             wire_tag = tag.0;
-            payload
+            &payload
         } else {
-            wrapped = encode_route(dest as u32, tag.0, payload);
+            wrapped = encode_route(dest as u32, tag.0, &payload);
             wire_tag = TAG_IPC_ROUTE;
             &wrapped
         };
@@ -1781,6 +1793,9 @@ impl TcpWorkerTransport {
         // Reconnect spans are measured under the writer lock but
         // forwarded through it — drain them only now that it is free.
         self.flush_pending_spans();
+        if result.is_ok() {
+            self.gate.note_sent(dest, tag, payload.len());
+        }
         result
     }
 
@@ -1795,7 +1810,7 @@ impl TcpWorkerTransport {
     /// probe is written through the inner stream so clock traffic
     /// never consumes a scripted fault ordinal, and skipped while the
     /// link is severed — the rejoin grant re-syncs instead.
-    fn maybe_probe(&self, stream: &mut FaultyStream<TcpStream>) {
+    fn maybe_probe(&self, stream: &mut FaultyStream<Stream>) {
         if !self.monitor.is_enabled() || stream.is_severed() {
             return;
         }
@@ -1850,7 +1865,7 @@ impl Drop for TcpWorkerTransport {
         self.stop.store(true, Ordering::Relaxed);
         let _ = self
             .gate
-            .flush_delayed(true, &|d, t, p| self.raw_send(d, t, p));
+            .flush_delayed(true, &|d, t, p| self.deliver(d, t, p));
         self.flush_pending_spans();
         // The uplink's final accounting, forwarded while the socket is
         // still up: frames and bytes both ways, reconnect dials, and
@@ -1864,7 +1879,7 @@ impl Drop for TcpWorkerTransport {
             );
         }
         if let Ok(stream) = self.writer.lock() {
-            let _ = stream.get_ref().shutdown(Shutdown::Both);
+            let _ = stream.get_ref().shutdown();
         }
         if let Ok(mut slot) = self.reader.lock() {
             if let Some(handle) = slot.take() {
@@ -1908,7 +1923,7 @@ impl Transport for TcpWorkerTransport {
             });
         }
         self.gate
-            .send(dest, tag, payload, &|d, t, p| self.raw_send(d, t, p))
+            .send(dest, tag, payload, &|d, t, p| self.deliver(d, t, p))
     }
 
     fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
@@ -1937,6 +1952,7 @@ impl Transport for TcpWorkerTransport {
 mod tests {
     use super::*;
     use parmonc_faults::FaultPlan;
+    use std::net::{Shutdown, TcpStream};
     use std::time::Instant;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
@@ -1987,7 +2003,7 @@ mod tests {
     }
 
     /// Dials a raw join frame and returns the decoded reject.
-    fn raw_join_reject(addr: SocketAddr, request: &JoinRequest) -> Reject {
+    fn raw_join_reject(addr: &str, request: &JoinRequest) -> Reject {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(TIMEOUT)).unwrap();
         write_frame(&mut stream, 0, TAG_TCP_JOIN, &request.encode()).unwrap();
@@ -1997,7 +2013,7 @@ mod tests {
     }
 
     /// Dials a raw join and returns the open stream plus the grant.
-    fn raw_join(addr: SocketAddr) -> (TcpStream, Grant) {
+    fn raw_join(addr: &str) -> (TcpStream, Grant) {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(TIMEOUT)).unwrap();
         write_frame(&mut stream, 0, TAG_TCP_JOIN, &JoinRequest::new(42).encode()).unwrap();
@@ -2008,7 +2024,7 @@ mod tests {
     }
 
     /// Dials a raw rejoin and returns the raw reply frame.
-    fn raw_rejoin(addr: SocketAddr, rejoin: &Rejoin) -> crate::frame::Frame {
+    fn raw_rejoin(addr: &str, rejoin: &Rejoin) -> crate::frame::Frame {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(TIMEOUT)).unwrap();
         write_frame(&mut stream, 0, TAG_TCP_REJOIN, &rejoin.encode()).unwrap();
@@ -2071,12 +2087,12 @@ mod tests {
     #[test]
     fn exhausted_budget_rejects_the_joiner_cleanly() {
         let mut collector = collector(2, vec![10]);
-        let addr = collector.local_addr();
+        let addr = collector.local_addr().to_string();
         // Retiring the only worker rank models "budget already
         // reassigned": the late joiner must be refused, not leased a
         // double-counted stream range.
         collector.retire_rank(1);
-        let reject = raw_join_reject(addr, &JoinRequest::new(42));
+        let reject = raw_join_reject(&addr, &JoinRequest::new(42));
         assert_eq!(reject.code, RejectCode::BudgetExhausted);
         collector.shutdown().unwrap();
     }
@@ -2109,8 +2125,8 @@ mod tests {
     #[test]
     fn rejoin_regrants_the_rank_and_dedups_replayed_sequences() {
         let mut collector = collector(2, vec![10]);
-        let addr = collector.local_addr();
-        let (mut first, grant) = raw_join(addr);
+        let addr = collector.local_addr().to_string();
+        let (mut first, grant) = raw_join(&addr);
         assert_eq!(grant.rank, 1);
         write_frame_seq(&mut first, 1, 7, 1, b"one").unwrap();
         write_frame_seq(&mut first, 1, 7, 2, b"two").unwrap();
@@ -2127,7 +2143,7 @@ mod tests {
         // Rejoin with the granted epoch: same rank comes back, and a
         // replay of seq 2 (which already arrived) is dropped while the
         // fresh seq 3 is delivered — exactly-once across the break.
-        let mut second = TcpStream::connect(addr).unwrap();
+        let mut second = TcpStream::connect(&addr).unwrap();
         second.set_read_timeout(Some(TIMEOUT)).unwrap();
         let rejoin = Rejoin::new(42, grant.epoch, 1);
         write_frame(&mut second, 0, TAG_TCP_REJOIN, &rejoin.encode()).unwrap();
@@ -2156,8 +2172,8 @@ mod tests {
         // frame the new incarnation sends — heartbeats and subtotals
         // alike — would be silently dropped as a replay of the old one.
         let mut collector = collector(2, vec![10]);
-        let addr = collector.local_addr();
-        let (mut first, grant) = raw_join(addr);
+        let addr = collector.local_addr().to_string();
+        let (mut first, grant) = raw_join(&addr);
         assert_eq!(grant.rank, 1);
         write_frame_seq(&mut first, 1, 7, 1, b"one").unwrap();
         write_frame_seq(&mut first, 1, 7, 2, b"two").unwrap();
@@ -2170,7 +2186,7 @@ mod tests {
         // Wait for the collector to free the lease, then join fresh.
         let deadline = Instant::now() + TIMEOUT;
         let (mut second, regrant) = loop {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut stream = TcpStream::connect(&addr).unwrap();
             stream.set_read_timeout(Some(TIMEOUT)).unwrap();
             write_frame(&mut stream, 0, TAG_TCP_JOIN, &JoinRequest::new(42).encode()).unwrap();
             let reply = read_frame(&mut &stream).unwrap().expect("a reply frame");
@@ -2200,8 +2216,8 @@ mod tests {
         // so a healthy joiner (or a rejoining worker) gets through
         // immediately.
         let mut collector = collector(2, vec![10]);
-        let addr = collector.local_addr();
-        let stalled = TcpStream::connect(addr).unwrap();
+        let addr = collector.local_addr().to_string();
+        let stalled = TcpStream::connect(&addr).unwrap();
         // Give the acceptor time to take the stalled connection first.
         std::thread::sleep(Duration::from_millis(50));
         let started = Instant::now();
@@ -2219,9 +2235,9 @@ mod tests {
     #[test]
     fn rejoin_with_the_wrong_epoch_is_rejected() {
         let mut collector = collector(2, vec![10]);
-        let addr = collector.local_addr();
-        let (_stream, grant) = raw_join(addr);
-        let reply = raw_rejoin(addr, &Rejoin::new(42, grant.epoch.wrapping_add(1), 1));
+        let addr = collector.local_addr().to_string();
+        let (_stream, grant) = raw_join(&addr);
+        let reply = raw_rejoin(&addr, &Rejoin::new(42, grant.epoch.wrapping_add(1), 1));
         assert_eq!(reply.tag, TAG_TCP_REJECT);
         let reject = Reject::decode(&reply.payload).unwrap();
         assert_eq!(reject.code, RejectCode::EpochMismatch);
@@ -2232,8 +2248,8 @@ mod tests {
     #[test]
     fn rejoin_of_a_never_leased_rank_is_rejected() {
         let mut collector = collector(3, vec![5, 5]);
-        let addr = collector.local_addr();
-        let reply = raw_rejoin(addr, &Rejoin::new(42, collector.epoch(), 2));
+        let addr = collector.local_addr().to_string();
+        let reply = raw_rejoin(&addr, &Rejoin::new(42, collector.epoch(), 2));
         assert_eq!(reply.tag, TAG_TCP_REJECT);
         let reject = Reject::decode(&reply.payload).unwrap();
         assert_eq!(reject.code, RejectCode::BudgetExhausted);
@@ -2244,8 +2260,8 @@ mod tests {
     #[test]
     fn lease_snapshot_round_trips_and_resume_preserves_the_session() {
         let mut first = collector(3, vec![5, 5]);
-        let addr = first.local_addr();
-        let (_stream, grant) = raw_join(addr);
+        let addr = first.local_addr().to_string();
+        let (_stream, grant) = raw_join(&addr);
         assert_eq!(grant.rank, 1);
         let snapshot = first.snapshot();
         assert_eq!(snapshot.epoch, first.epoch());
@@ -2261,11 +2277,11 @@ mod tests {
         // join is dealt the still-untouched rank 2, not rank 1.
         let mut second = collector_with(3, vec![5, 5], Some(snapshot));
         assert_eq!(second.epoch(), grant.epoch);
-        let addr2 = second.local_addr();
-        let reply = raw_rejoin(addr2, &Rejoin::new(42, grant.epoch, 1));
+        let addr2 = second.local_addr().to_string();
+        let reply = raw_rejoin(&addr2, &Rejoin::new(42, grant.epoch, 1));
         assert_eq!(reply.tag, TAG_TCP_GRANT);
         assert_eq!(Grant::decode(&reply.payload).unwrap().rank, 1);
-        let (_join2, grant2) = raw_join(addr2);
+        let (_join2, grant2) = raw_join(&addr2);
         assert_eq!(grant2.rank, 2, "fresh joiners get untouched ranks");
         second.shutdown().unwrap();
     }

@@ -1,87 +1,50 @@
-//! The two ends of the multi-process socket world.
+//! The process backend's world builder: spawn, wait, reap.
 //!
-//! [`ProcessTransport`] is rank 0: it binds a Unix-domain listening
-//! socket, re-executes the current binary once per worker rank (with
-//! the `PARMONC_WORKER_*` environment set and [`WORKER_FLAG`] on the
-//! argv), verifies each worker's hello handshake, and then speaks the
-//! same envelope protocol the in-process substrate speaks over
-//! channels. [`ChildTransport`] is the worker side: it connects back
-//! to the parent's socket and exchanges length-prefixed frames, with
-//! its monitor events forwarded over the same stream.
-//!
-//! The *physical* world is a star: every worker socket connects only
-//! to rank 0. Logical worker-to-worker sends (the tree collection
-//! topologies route subtotals through relay ranks) are wrapped as
-//! [`crate::frame::TAG_IPC_ROUTE`] frames; the hub unwraps them after
-//! dedup and forwards the inner frame to the destination's socket with
-//! the original source, so a relay receives exactly what a direct link
-//! would have delivered. A routed frame whose destination has no live
-//! connection is dropped after a brief retry — subtotals are
-//! cumulative, so the next emission heals the loss, and the liveness
-//! plane reparents children of dead relays.
+//! [`TcpCollectorTransport::spawn`] listens on a Unix-domain socket in
+//! a private temp directory and re-executes the current binary once
+//! per worker rank with the socket path and a spawn token in its
+//! environment ([`WorkerInfo`]). Each child runs the ordinary join
+//! path against that socket: rank, world size, quota, collection
+//! parent and the monitor/span flags all come from its grant, exactly
+//! as for a remote TCP worker. What this module adds is only the
+//! process lifecycle around the shared link layer — wait until every
+//! rank is leased, and reap every child at shutdown.
 
 use std::io;
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parmonc_faults::FaultHandle;
-use parmonc_mpi::bytes::Bytes;
-use parmonc_mpi::envelope::{Envelope, Tag};
-use parmonc_mpi::error::MpiError;
-use parmonc_mpi::pool::BufferPool;
-use parmonc_mpi::transport::Transport;
-use parmonc_obs::Monitor;
+use crate::stream::unix_endpoint;
+use crate::tcp::{ListenOptions, TcpCollectorTransport};
+use crate::worker::{mix_token, WorkerInfo, WORKER_FLAG};
 
-use crate::backoff::{self, ReconnectPolicy};
-use crate::faulty::FaultyStream;
-use crate::frame::{
-    decode_route, encode_route, read_frame, write_frame, FRAME_HEADER_LEN, TAG_IPC_HELLO,
-    TAG_IPC_ROUTE,
-};
-use crate::link::{
-    pump_frames, ForwardSink, InboxStats, LinkHooks, Mailbox, SendGate, WireTelemetry,
-};
-use crate::worker::{WorkerInfo, WORKER_FLAG};
-
-/// How long the parent waits for all workers to connect and present a
-/// valid hello before declaring the spawn failed.
+/// How long the parent waits for all workers to join before declaring
+/// the spawn failed.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// How long the parent waits for workers to exit on their own during
-/// [`ProcessTransport::shutdown`] before killing them.
+/// shutdown before killing them.
 const EXIT_DEADLINE: Duration = Duration::from_secs(10);
 
-/// The hub's writer slots, shared between the transport's own send
-/// path and the reader threads' route hooks; `None` slots are ranks
-/// whose connection has not been accepted (or has been shut down).
-type WriterSlots = Arc<Mutex<Vec<Option<Arc<Mutex<UnixStream>>>>>>;
+/// How often the spawner polls the lease table and the children.
+const POLL: Duration = Duration::from_millis(1);
 
 /// Distinguishes concurrent worlds spawned by one process (tests spawn
 /// several); combined with the pid this makes the socket directory
 /// unique.
 static SPAWN_NONCE: AtomicU64 = AtomicU64::new(0);
 
-/// Configuration for [`ProcessTransport::spawn`].
+/// Configuration for [`TcpCollectorTransport::spawn`].
 #[derive(Debug)]
 pub struct SpawnOptions {
-    /// World size including the parent (rank 0); `size - 1` worker
-    /// processes are spawned.
-    pub size: usize,
-    /// The run's monitor. Rank 0's transport events are emitted here
-    /// directly; worker events arrive over the sockets and are
-    /// re-emitted here with the workers' timestamps.
-    pub monitor: Monitor,
-    /// The parent-side fault plane (rank 0's outgoing messages).
-    /// Workers build their own handle from the same seeded plan, which
-    /// behaves identically because fault sequence counters are
-    /// per-channel.
-    pub faults: FaultHandle,
+    /// The collector's listen options. The spawn overrides three of
+    /// them: `addr` becomes the private Unix socket, the spawn token
+    /// is mixed into `config_digest` (so a stray local dialer is
+    /// refused with a configuration mismatch), and `resume`/`persist`
+    /// are cleared — a spawned world leaves no lease table behind.
+    pub listen: ListenOptions,
     /// Arguments for the re-executed binary, excluding the program
     /// name. `None` inherits this process's own arguments (minus any
     /// existing [`WORKER_FLAG`]) and appends [`WORKER_FLAG`] as a
@@ -93,226 +56,34 @@ pub struct SpawnOptions {
     /// flags. Worker detection is carried by the environment
     /// ([`crate::worker_env`]), not by the flag.
     pub worker_args: Option<Vec<String>>,
-    /// Whether span tracing is on for this run: carried to each worker
-    /// in its environment so worker loops wrap their phases in
-    /// `span_started`/`span_ended` events. Requires a monitored run to
-    /// have any effect.
-    pub trace_spans: bool,
-    /// Parent assignment per worker rank (index `rank - 1`): the rank
-    /// each worker's subtotal envelopes should flow to under the run's
-    /// collection topology. Empty means a star — every worker reports
-    /// straight to rank 0.
-    pub parents: Vec<usize>,
 }
 
-/// Rank 0 of a multi-process world: the spawner, collector-side
-/// transport, and lifecycle owner of the worker processes.
-///
-/// Dropping the transport (or calling [`ProcessTransport::shutdown`],
-/// which is gentler) reaps every child — no orphans survive the
-/// parent, even on a panic path.
+/// The worker processes of a spawned world and their socket directory.
+/// Dropping it kills any child still running and removes the
+/// directory, so no failure path leaks either.
 #[derive(Debug)]
-pub struct ProcessTransport {
-    size: usize,
-    pool: BufferPool,
-    monitor: Monitor,
-    gate: SendGate,
-    mailbox: Mailbox,
-    stats: Arc<InboxStats>,
-    self_tx: Sender<Envelope>,
-    /// Write halves to each worker, indexed by `rank - 1`, shared with
-    /// the reader threads' route hooks; emptied by shutdown so late
-    /// sends fail soft with `Disconnected`.
-    writers: WriterSlots,
-    /// Per-link wire counters, indexed by `rank - 1`; folded into the
-    /// trace as one `wire_stats` event per link at shutdown.
-    wire: Vec<Arc<WireTelemetry>>,
+pub(crate) struct Spawned {
     children: Vec<Child>,
-    readers: Vec<JoinHandle<()>>,
     dir: PathBuf,
-    shut_down: bool,
 }
 
-impl ProcessTransport {
-    /// Spawns `size - 1` worker processes by re-executing the current
-    /// binary and waits for all of them to complete the hello
-    /// handshake.
-    ///
-    /// # Errors
-    ///
-    /// Socket/bind/spawn failures, or a worker failing to connect with
-    /// a valid token within the accept deadline (in which case all
-    /// spawned children are killed before returning).
-    pub fn spawn(opts: SpawnOptions) -> io::Result<Self> {
-        if opts.size == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "world size must be at least 1",
-            ));
-        }
-        let dir = std::env::temp_dir().join(format!(
-            "parmonc-ipc-{}-{}",
-            std::process::id(),
-            SPAWN_NONCE.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir)?;
-        let socket = dir.join("rank0.sock");
-        let listener = UnixListener::bind(&socket)?;
-        let token = spawn_token();
-
-        let exe = std::env::current_exe()?;
-        // Explicit worker_args are used verbatim (libtest filters must
-        // not gain unknown flags); the inherited-argv path appends the
-        // visible WORKER_FLAG marker for `ps` readability.
-        let base_args: Vec<String> = match opts.worker_args.clone() {
-            Some(args) => args,
-            None => std::env::args()
-                .skip(1)
-                .filter(|a| a != WORKER_FLAG)
-                .chain(std::iter::once(WORKER_FLAG.to_string()))
-                .collect(),
-        };
-
-        let mut children = Vec::with_capacity(opts.size.saturating_sub(1));
-        let spawn_result = (|| -> io::Result<()> {
-            for rank in 1..opts.size {
-                let info = WorkerInfo {
-                    rank,
-                    size: opts.size,
-                    socket: socket.clone(),
-                    token: token.clone(),
-                    monitor: opts.monitor.is_enabled(),
-                    spans: opts.trace_spans && opts.monitor.is_enabled(),
-                    parent: opts.parents.get(rank - 1).copied().unwrap_or(0),
-                };
-                let mut cmd = Command::new(&exe);
-                cmd.args(&base_args)
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::inherit());
-                for (key, value) in info.to_env() {
-                    cmd.env(key, value);
-                }
-                children.push(cmd.spawn()?);
-            }
-            Ok(())
-        })();
-        if let Err(e) = spawn_result {
-            reap(&mut children);
-            let _ = std::fs::remove_dir_all(&dir);
-            return Err(e);
-        }
-
-        let (tx, rx) = mpsc::channel();
-        let stats = Arc::new(InboxStats::default());
-        let writers: WriterSlots = Arc::new(Mutex::new({
-            let mut slots: Vec<Option<Arc<Mutex<UnixStream>>>> = Vec::new();
-            slots.resize_with(opts.size.saturating_sub(1), || None);
-            slots
-        }));
-        let wire: Vec<Arc<WireTelemetry>> = (0..opts.size.saturating_sub(1))
-            .map(|_| Arc::new(WireTelemetry::default()))
-            .collect();
-        let mut readers = Vec::new();
-        let accepted = accept_workers(
-            &listener,
-            &token,
-            opts.size,
-            &tx,
-            &opts.monitor,
-            &stats,
-            &wire,
-            &writers,
-            &mut readers,
-        );
-        if let Err(e) = accepted {
-            reap(&mut children);
-            drop(tx);
-            for handle in readers {
-                let _ = handle.join();
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-            return Err(e);
-        }
-
-        Ok(Self {
-            size: opts.size,
-            pool: BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY),
-            monitor: opts.monitor.clone(),
-            gate: SendGate::new(0, opts.faults, opts.monitor.clone()),
-            mailbox: Mailbox::new(0, rx, opts.monitor, Some(Arc::clone(&stats))),
-            stats,
-            self_tx: tx,
-            writers,
-            wire,
-            children,
-            readers,
-            dir,
-            shut_down: false,
-        })
-    }
-
-    fn raw_send(&self, dest: usize, tag: Tag, payload: &Bytes) -> Result<(), MpiError> {
-        if dest == 0 {
-            self.stats.note_enqueue(&self.monitor, 0);
-            return self
-                .self_tx
-                .send(Envelope {
-                    source: 0,
-                    tag,
-                    payload: payload.clone(),
-                })
-                .map_err(|_| MpiError::Disconnected);
-        }
-        let writer = {
-            let slots = self.writers.lock().map_err(|_| MpiError::Disconnected)?;
-            slots
-                .get(dest - 1)
-                .and_then(Clone::clone)
-                .ok_or(MpiError::Disconnected)?
-        };
-        let mut stream = writer.lock().map_err(|_| MpiError::Disconnected)?;
-        write_frame(&mut *stream, 0, tag.0, payload).map_err(|_| MpiError::Disconnected)?;
-        self.wire[dest - 1].count_out(FRAME_HEADER_LEN + payload.len());
-        Ok(())
-    }
-
-    /// Tears the world down in order: force-flushes any fault-delayed
-    /// sends, closes the write halves, waits for workers to exit on
-    /// their own (killing any that outlive the deadline), joins the
-    /// reader threads — which guarantees every forwarded worker event
-    /// is in the monitor's sinks on return — and removes the socket
-    /// directory. Idempotent.
-    ///
-    /// # Errors
-    ///
-    /// The first wait/kill error, after all children are reaped anyway.
-    pub fn shutdown(&mut self) -> io::Result<()> {
-        if self.shut_down {
-            return Ok(());
-        }
-        self.shut_down = true;
-        let _ = self
-            .gate
-            .flush_delayed(true, &|d, t, p| self.raw_send(d, t, p));
-        if let Ok(mut slots) = self.writers.lock() {
-            slots.clear();
-        }
+impl Spawned {
+    /// Waits for every child to exit on its own, killing any that
+    /// outlive [`EXIT_DEADLINE`].
+    pub(crate) fn reap(&mut self) -> io::Result<()> {
         let mut first_err = None;
         let deadline = Instant::now() + EXIT_DEADLINE;
         for child in &mut self.children {
             loop {
                 match child.try_wait() {
                     Ok(Some(_)) => break,
+                    Ok(None) if Instant::now() < deadline => std::thread::sleep(POLL),
                     Ok(None) => {
-                        if Instant::now() >= deadline {
-                            let _ = child.kill();
-                            if let Err(e) = child.wait() {
-                                first_err.get_or_insert(e);
-                            }
-                            break;
+                        let _ = child.kill();
+                        if let Err(e) = child.wait() {
+                            first_err.get_or_insert(e);
                         }
-                        std::thread::sleep(Duration::from_millis(10));
+                        break;
                     }
                     Err(e) => {
                         first_err.get_or_insert(e);
@@ -322,292 +93,109 @@ impl ProcessTransport {
             }
         }
         self.children.clear();
-        for handle in self.readers.drain(..) {
-            let _ = handle.join();
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Kills and waits every child, ignoring errors (the children may
+    /// already be gone).
+    pub(crate) fn kill(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
         }
-        // Every reader has drained, so the per-link totals are final —
-        // including each worker's own end-of-link `wire_stats` frame.
-        if self.monitor.is_enabled() {
-            for (i, wire) in self.wire.iter().enumerate() {
-                self.monitor.emit(Some(0), wire.to_event(i + 1, 0));
-            }
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.children.clear();
     }
 }
 
-impl Drop for ProcessTransport {
+impl Drop for Spawned {
     fn drop(&mut self) {
-        if self.shut_down {
-            return;
-        }
-        // Unclean teardown (panic or early error): kill immediately
-        // rather than waiting out the exit deadline.
-        self.shut_down = true;
-        if let Ok(mut slots) = self.writers.lock() {
-            slots.clear();
-        }
-        reap(&mut self.children);
-        for handle in self.readers.drain(..) {
-            let _ = handle.join();
-        }
+        self.kill();
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
-impl Transport for ProcessTransport {
-    fn rank(&self) -> usize {
-        0
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn recycle(&self, payload: Bytes) {
-        self.pool.recycle(payload);
-    }
-
-    fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> Result<(), MpiError> {
-        self.send_bytes(dest, tag, Bytes::copy_from_slice(payload))
-    }
-
-    fn send_bytes(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
-        if dest >= self.size {
-            return Err(MpiError::InvalidRank {
-                rank: dest,
-                size: self.size,
-            });
-        }
-        self.gate
-            .send(dest, tag, payload, &|d, t, p| self.raw_send(d, t, p))
-    }
-
-    fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
-        self.mailbox.recv(source, tag)
-    }
-
-    fn recv_timeout(
-        &mut self,
-        source: Option<usize>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> Result<Option<Envelope>, MpiError> {
-        self.mailbox.recv_timeout(source, tag, timeout)
-    }
-
-    fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        self.mailbox.try_recv(source, tag)
-    }
-
-    fn iprobe(&mut self, source: Option<usize>, tag: Option<Tag>) -> bool {
-        self.mailbox.iprobe(source, tag)
-    }
-}
-
-/// A worker rank's end of the socket world.
-///
-/// Only rank 0 is reachable (the star topology); the worker's monitor
-/// — returned by [`ChildTransport::monitor`] — forwards every event
-/// over the same stream for the parent to fold into the run trace.
-#[derive(Debug)]
-pub struct ChildTransport {
-    rank: usize,
-    size: usize,
-    pool: BufferPool,
-    monitor: Monitor,
-    gate: SendGate,
-    mailbox: Mailbox,
-    writer: Arc<Mutex<FaultyStream<UnixStream>>>,
-    /// This side's wire counters; flushed as a `wire_stats` event
-    /// (link 0: the uplink to the parent) at drop.
-    wire: Arc<WireTelemetry>,
-}
-
-impl ChildTransport {
-    /// Connects back to the parent's socket, sends the hello frame,
-    /// and starts the reader thread.
+impl TcpCollectorTransport {
+    /// Builds a multi-process world: listens on a private Unix socket,
+    /// re-executes the current binary `size - 1` times, and waits until
+    /// every worker rank is leased. The returned collector owns the
+    /// children; [`TcpCollectorTransport::shutdown`] reaps them, and
+    /// dropping it without a shutdown kills them.
     ///
     /// # Errors
     ///
-    /// Connection or handshake-write failures.
-    pub fn connect(info: &WorkerInfo, faults: FaultHandle) -> io::Result<Self> {
-        let mut stream = connect_with_retry(&info.socket, info.rank as u64)?;
-        write_frame(
-            &mut stream,
-            info.rank as u32,
-            TAG_IPC_HELLO,
-            info.token.as_bytes(),
-        )?;
-        // The hello above is pre-wrap on purpose: handshake frames do
-        // not consume net-fault frame ordinals, so a seeded plan
-        // replays identically on the TCP backend (whose handshake is
-        // likewise unwrapped). The Unix backend has no reconnect path
-        // — a scripted severance here is a permanent worker loss,
-        // handled by the collector's liveness plane.
-        let writer = Arc::new(Mutex::new(FaultyStream::new(
-            stream.try_clone()?,
-            info.rank,
-            faults.clone(),
-        )));
-        let wire = Arc::new(WireTelemetry::default());
-        wire.count_out(FRAME_HEADER_LEN + info.token.len());
-        let monitor = if info.monitor {
-            Monitor::new(vec![Box::new(ForwardSink::new(
-                Arc::clone(&writer),
-                info.rank,
-                Arc::clone(&wire),
-            ))])
-        } else {
-            Monitor::disabled()
+    /// Socket/bind/spawn failures, or the workers failing to join
+    /// within the accept deadline (in which case every spawned child
+    /// is killed before returning).
+    pub fn spawn(opts: SpawnOptions) -> io::Result<Self> {
+        let SpawnOptions {
+            mut listen,
+            worker_args,
+        } = opts;
+        let dir = std::env::temp_dir().join(format!(
+            "parmonc-ipc-{}-{}",
+            std::process::id(),
+            SPAWN_NONCE.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir)?;
+        let mut spawned = Spawned {
+            children: Vec::new(),
+            dir,
         };
-        let stats = Arc::new(InboxStats::default());
-        let (tx, rx) = mpsc::channel();
-        let rank = info.rank;
-        let thread_monitor = monitor.clone();
-        let thread_stats = Arc::clone(&stats);
-        let thread_wire = Arc::clone(&wire);
-        // Detached on purpose: the thread blocks in read until the
-        // parent closes the stream, and a worker process exits without
-        // tearing its transport down gracefully.
-        std::thread::Builder::new()
-            .name(format!("parmonc-ipc-r{rank}"))
-            .spawn(move || {
-                pump_frames(
-                    stream,
-                    tx,
-                    LinkHooks {
-                        stats: Some(thread_stats),
-                        wire: Some(thread_wire),
-                        ..LinkHooks::bare(thread_monitor, rank)
-                    },
-                )
-            })?;
-        Ok(Self {
-            rank,
-            size: info.size,
-            pool: BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY),
-            monitor: monitor.clone(),
-            gate: SendGate::new(rank, faults, monitor),
-            mailbox: Mailbox::new(rank, rx, Monitor::disabled(), Some(stats)),
-            writer,
-            wire,
-        })
-    }
+        let info = WorkerInfo {
+            socket: spawned.dir.join("rank0.sock"),
+            token: spawn_token(),
+        };
+        listen.addr = unix_endpoint(&info.socket);
+        listen.config_digest = mix_token(listen.config_digest, &info.token);
+        listen.resume = None;
+        listen.persist = None;
+        let workers = listen.size.saturating_sub(1);
+        let mut world = Self::listen(listen)?;
 
-    /// The worker's monitor: enabled (forwarding over the socket) when
-    /// the parent run is monitored, disabled otherwise. The worker loop
-    /// emits its heartbeat/progress events here exactly as it would on
-    /// the thread substrate.
-    #[must_use]
-    pub fn monitor(&self) -> Monitor {
-        self.monitor.clone()
-    }
-
-    fn raw_send(&self, dest: usize, tag: Tag, payload: &Bytes) -> Result<(), MpiError> {
-        let mut stream = self.writer.lock().map_err(|_| MpiError::Disconnected)?;
-        if dest == 0 {
-            write_frame(&mut *stream, self.rank as u32, tag.0, payload)
-                .map_err(|_| MpiError::Disconnected)?;
-            self.wire.count_out(FRAME_HEADER_LEN + payload.len());
-        } else {
-            // The socket only reaches rank 0: wrap the frame and let
-            // the hub route it to the destination (tree collection
-            // topologies send subtotals through relay ranks).
-            let wrapped = encode_route(dest as u32, tag.0, payload);
-            write_frame(&mut *stream, self.rank as u32, TAG_IPC_ROUTE, &wrapped)
-                .map_err(|_| MpiError::Disconnected)?;
-            self.wire.count_out(FRAME_HEADER_LEN + wrapped.len());
+        let exe = std::env::current_exe()?;
+        // Explicit worker_args are used verbatim (libtest filters must
+        // not gain unknown flags); the inherited-argv path appends the
+        // visible WORKER_FLAG marker for `ps` readability.
+        let args: Vec<String> = worker_args.unwrap_or_else(|| {
+            std::env::args()
+                .skip(1)
+                .filter(|a| a != WORKER_FLAG)
+                .chain(std::iter::once(WORKER_FLAG.to_string()))
+                .collect()
+        });
+        for _ in 0..workers {
+            let child = Command::new(&exe)
+                .args(&args)
+                .envs(info.to_env())
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .stderr(Stdio::inherit())
+                .spawn()?;
+            spawned.children.push(child);
         }
-        Ok(())
-    }
-}
+        world.spawned = Some(spawned);
 
-impl Drop for ChildTransport {
-    fn drop(&mut self) {
-        // A delayed message is late, never lost — same contract as the
-        // thread substrate's Drop.
-        let _ = self
-            .gate
-            .flush_delayed(true, &|d, t, p| self.raw_send(d, t, p));
-        // This side's final wire accounting, forwarded while the
-        // stream is still open so the parent folds it into the trace
-        // before this worker's departure.
-        if self.monitor.is_enabled() {
-            self.monitor.emit(
-                Some(self.rank),
-                self.wire.to_event(0, self.monitor.dropped_events()),
-            );
+        let deadline = Instant::now() + ACCEPT_DEADLINE;
+        loop {
+            let joined = world.leased();
+            if joined == workers {
+                return Ok(world);
+            }
+            if Instant::now() >= deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("only {joined} of {workers} workers joined before the deadline"),
+                ));
+            }
+            std::thread::sleep(POLL);
         }
     }
 }
 
-impl Transport for ChildTransport {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn recycle(&self, payload: Bytes) {
-        self.pool.recycle(payload);
-    }
-
-    fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> Result<(), MpiError> {
-        self.send_bytes(dest, tag, Bytes::copy_from_slice(payload))
-    }
-
-    fn send_bytes(&self, dest: usize, tag: Tag, payload: Bytes) -> Result<(), MpiError> {
-        if dest >= self.size {
-            return Err(MpiError::InvalidRank {
-                rank: dest,
-                size: self.size,
-            });
-        }
-        self.gate
-            .send(dest, tag, payload, &|d, t, p| self.raw_send(d, t, p))
-    }
-
-    fn recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Result<Envelope, MpiError> {
-        self.mailbox.recv(source, tag)
-    }
-
-    fn recv_timeout(
-        &mut self,
-        source: Option<usize>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> Result<Option<Envelope>, MpiError> {
-        self.mailbox.recv_timeout(source, tag, timeout)
-    }
-
-    fn try_recv(&mut self, source: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        self.mailbox.try_recv(source, tag)
-    }
-
-    fn iprobe(&mut self, source: Option<usize>, tag: Option<Tag>) -> bool {
-        self.mailbox.iprobe(source, tag)
-    }
-}
-
-/// A weak-but-sufficient unique token: workers echo it back in their
-/// hello so a stray local process that finds the socket path cannot
-/// claim a rank. This is an anti-accident measure, not a security
-/// boundary — the socket lives in a per-uid temp directory.
+/// A weak-but-sufficient unique token: mixed into the join digest so a
+/// stray local process that finds the socket path cannot claim a rank.
+/// This is an anti-accident measure, not a security boundary — the
+/// socket lives in a per-uid temp directory.
 fn spawn_token() -> String {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -616,168 +204,107 @@ fn spawn_token() -> String {
     format!("{:032x}", nanos ^ (u128::from(std::process::id()) << 64))
 }
 
-fn connect_with_retry(socket: &std::path::Path, seed: u64) -> io::Result<UnixStream> {
-    // The parent binds before spawning, so the first attempt should
-    // succeed; retry briefly (the shared seeded backoff schedule,
-    // ~2.5–5 s of nominal coverage) to absorb slow filesystem
-    // visibility.
-    let policy = ReconnectPolicy {
-        attempts: 12,
-        base_delay: Duration::from_millis(10),
-        max_delay: Duration::from_secs(1),
-        attempt_timeout: Duration::from_secs(5),
-    };
-    backoff::retry(policy, seed, |_| UnixStream::connect(socket))
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{read_frame, write_frame, JoinRequest, Reject, RejectCode, TAG_TCP_JOIN};
+    use crate::stream::Stream;
+    use crate::{worker_env, JoinOptions, ReconnectPolicy, TcpWorkerTransport};
+    use parmonc_faults::FaultHandle;
+    use parmonc_mpi::{Tag, Transport};
+    use parmonc_obs::Monitor;
 
-/// Builds the hub-side route hook for one reader thread: unwraps a
-/// [`TAG_IPC_ROUTE`] frame and forwards the inner frame to its
-/// destination with the original source. Destination 0 is delivered
-/// into the hub's own inbox; so is any frame whose destination has no
-/// live connection (still in the accept window, or already gone) — the
-/// hub is the collection root, so everything a relay would forward is
-/// absorbable directly and the replace-then-sum fold tolerates the
-/// duplicate. The hook must never block: it runs on the source
-/// connection's reader thread, and stalling it would starve that
-/// worker's heartbeats.
-fn route_hook(
-    size: usize,
-    writers: &WriterSlots,
-    wire: &[Arc<WireTelemetry>],
-    tx: &Sender<Envelope>,
-    monitor: &Monitor,
-    stats: &Arc<InboxStats>,
-) -> Box<dyn Fn(&crate::frame::Frame) + Send> {
-    let writers = Arc::clone(writers);
-    let wire = wire.to_vec();
-    let tx = tx.clone();
-    let monitor = monitor.clone();
-    let stats = Arc::clone(stats);
-    Box::new(move |frame| {
-        let Some((dest, tag, inner)) = decode_route(&frame.payload) else {
-            return;
-        };
-        let dest = dest as usize;
-        if dest != 0 && dest < size {
-            let writer = writers
-                .lock()
-                .ok()
-                .and_then(|slots| slots.get(dest - 1).and_then(Clone::clone));
-            if let Some(writer) = writer {
-                if let Ok(mut stream) = writer.lock() {
-                    if write_frame(&mut *stream, frame.source, tag, inner).is_ok() {
-                        wire[dest - 1].count_out(FRAME_HEADER_LEN + inner.len());
-                        return;
-                    }
-                }
-            }
-        } else if dest >= size {
+    const DIGEST: u64 = 42;
+    const TIMEOUT: Duration = Duration::from_secs(5);
+
+    /// Spawns a one-worker world whose child re-runs the test `name`.
+    fn spawn(name: &str) -> TcpCollectorTransport {
+        TcpCollectorTransport::spawn(SpawnOptions {
+            listen: ListenOptions {
+                addr: String::new(),
+                size: 2,
+                monitor: Monitor::disabled(),
+                faults: FaultHandle::disabled(),
+                config_digest: DIGEST,
+                quotas: vec![10],
+                io_timeout: TIMEOUT,
+                resume: None,
+                trace_spans: false,
+                persist: None,
+                parents: Vec::new(),
+            },
+            worker_args: Some(vec![format!("transport::tests::{name}"), "--exact".into()]),
+        })
+        .expect("the child joins")
+    }
+
+    /// The child's side: join the parent's world with the spawn token.
+    fn join(info: &WorkerInfo) -> TcpWorkerTransport {
+        TcpWorkerTransport::join(JoinOptions {
+            addr: info.endpoint(),
+            config_digest: info.join_digest(DIGEST),
+            faults: FaultHandle::disabled(),
+            io_timeout: TIMEOUT,
+            reconnect: ReconnectPolicy {
+                attempts: 3,
+                base_delay: Duration::from_millis(5),
+                max_delay: Duration::from_millis(20),
+                attempt_timeout: TIMEOUT,
+            },
+            clock_skew_s: 0.0,
+        })
+        .expect("the child joins its parent")
+    }
+
+    /// The spawn token is what tells a world's own children from any
+    /// other local process that finds the socket. The re-executed child
+    /// plays both parts: first a stray dialer whose digest lacks the
+    /// token, then the legitimate joiner, which reports the stray's
+    /// reply. The stray must be refused with `ConfigMismatch` and take
+    /// no rank, so the legitimate joiner is still dealt rank 1.
+    #[test]
+    fn spawned_world_refuses_a_dialer_without_the_token() {
+        if let Some(info) = worker_env() {
+            let stray = Stream::dial(&info.endpoint(), TIMEOUT).unwrap();
+            stray.set_read_timeout(Some(TIMEOUT)).unwrap();
+            let request = JoinRequest::new(DIGEST).encode();
+            write_frame(&mut &stray, 0, TAG_TCP_JOIN, &request).unwrap();
+            let reply = read_frame(&mut &stray).unwrap().expect("a reply frame");
+            let worker = join(&info);
+            worker.send(0, Tag(reply.tag), &reply.payload).unwrap();
             return;
         }
-        stats.note_enqueue(&monitor, 0);
-        let _ = tx.send(Envelope {
-            source: frame.source as usize,
-            tag: Tag(tag),
-            payload: Bytes::copy_from_slice(inner),
-        });
-    })
-}
+        let mut world = spawn("spawned_world_refuses_a_dialer_without_the_token");
+        let socket = PathBuf::from(world.local_addr().strip_prefix("unix:").unwrap());
+        let report = world
+            .recv_timeout(None, None, TIMEOUT)
+            .unwrap()
+            .expect("the child reports the stray's reply");
+        assert_eq!(report.source, 1, "the stray must not have taken rank 1");
+        assert_eq!(report.tag, Tag(crate::frame::TAG_TCP_REJECT));
+        let reject = Reject::decode(&report.payload).expect("well-formed reject");
+        assert_eq!(reject.code, RejectCode::ConfigMismatch);
+        assert_eq!(world.leased(), 1);
+        world.shutdown().unwrap();
+        assert!(!socket.exists(), "socket dir left behind");
+    }
 
-/// Accepts connections until every rank `1..size` has presented a
-/// valid hello; wires each accepted stream to a writer slot and a
-/// reader thread.
-#[allow(clippy::too_many_arguments)]
-fn accept_workers(
-    listener: &UnixListener,
-    token: &str,
-    size: usize,
-    tx: &Sender<Envelope>,
-    monitor: &Monitor,
-    stats: &Arc<InboxStats>,
-    wire: &[Arc<WireTelemetry>],
-    writers: &WriterSlots,
-    readers: &mut Vec<JoinHandle<()>>,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + ACCEPT_DEADLINE;
-    let mut connected = 0usize;
-    while connected + 1 < size {
-        let stream = match listener.accept() {
-            Ok((stream, _addr)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!(
-                            "only {connected} of {} workers connected before the deadline",
-                            size - 1
-                        ),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let hello = match read_frame(&mut &stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => continue, // dead or silent connection: ignore it
-        };
-        let rank = hello.source as usize;
-        let slot_taken = writers
-            .lock()
-            .map_err(|_| io::Error::other("writer slots poisoned"))?
-            .get(rank.wrapping_sub(1))
-            .is_none_or(|slot| slot.is_some());
-        if hello.tag != TAG_IPC_HELLO
-            || hello.payload != token.as_bytes()
-            || rank == 0
-            || rank >= size
-            || slot_taken
-        {
-            continue; // imposter, stray, or duplicate: drop the stream
+    /// Shutdown reaps the children before it stops the readers, so a
+    /// worker still talking after the collector's last send — its final
+    /// events and wire totals, in a real run — is drained until it exits.
+    #[test]
+    fn shutdown_drains_each_worker_until_it_exits() {
+        if let Some(info) = worker_env() {
+            let mut worker = join(&info);
+            worker.recv(Some(0), Some(Tag(1))).unwrap();
+            std::thread::sleep(Duration::from_millis(200));
+            worker.send(0, Tag(2), b"late").unwrap();
+            return;
         }
-        stream.set_read_timeout(None)?;
-        writers
-            .lock()
-            .map_err(|_| io::Error::other("writer slots poisoned"))?[rank - 1] =
-            Some(Arc::new(Mutex::new(stream.try_clone()?)));
-        let link_wire = Arc::clone(&wire[rank - 1]);
-        link_wire.count_in(FRAME_HEADER_LEN + hello.payload.len());
-        let thread_tx = tx.clone();
-        let thread_monitor = monitor.clone();
-        let thread_stats = Arc::clone(stats);
-        let route = route_hook(size, writers, wire, tx, monitor, stats);
-        readers.push(
-            std::thread::Builder::new()
-                .name(format!("parmonc-ipc-w{rank}"))
-                .spawn(move || {
-                    pump_frames(
-                        stream,
-                        thread_tx,
-                        LinkHooks {
-                            stats: Some(thread_stats),
-                            expect_source: Some(rank as u32),
-                            wire: Some(link_wire),
-                            route: Some(route),
-                            ..LinkHooks::bare(thread_monitor, 0)
-                        },
-                    )
-                })?,
-        );
-        connected += 1;
+        let mut world = spawn("shutdown_drains_each_worker_until_it_exits");
+        world.send(1, Tag(1), b"stop").unwrap();
+        world.shutdown().unwrap();
+        let late = world.try_recv(Some(1), Some(Tag(2)));
+        assert!(late.is_some(), "the worker's last frame was cut off");
     }
-    Ok(())
-}
-
-/// Kills and waits every child, ignoring errors (used on failure and
-/// drop paths where the children may already be gone).
-fn reap(children: &mut Vec<Child>) {
-    for child in children.iter_mut() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    children.clear();
 }

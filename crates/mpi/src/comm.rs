@@ -1,29 +1,19 @@
 //! The world launcher and per-rank communicator.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parmonc_faults::{FaultHandle, FaultKind, SendAction};
+use parmonc_faults::FaultHandle;
 use parmonc_obs::{EventKind, Monitor};
 
 use crate::bytes::Bytes;
 use crate::envelope::{Envelope, Tag};
 use crate::error::MpiError;
+use crate::gate::SendGate;
 use crate::pool::BufferPool;
-
-/// A message the fault plane is holding back: it leaves the sender
-/// only after `remaining` further sends from the same rank.
-#[derive(Debug)]
-struct DelayedSend {
-    remaining: u32,
-    dest: usize,
-    tag: Tag,
-    payload: Bytes,
-}
 
 /// Per-receiver channel statistics for monitored worlds: how many
 /// messages sit undelivered in each rank's inbox, and the largest such
@@ -65,13 +55,10 @@ pub struct Communicator {
     monitor: Monitor,
     /// Queue-depth counters, present only in monitored worlds.
     stats: Option<Arc<ChannelStats>>,
-    /// The deterministic fault plane (disabled = one dead branch per
-    /// send).
-    faults: FaultHandle,
-    /// Messages the fault plane is holding back. Only touched when the
-    /// fault plane is enabled; flushed on [`Drop`] so a held message is
-    /// late, never lost (unless scripted as a drop).
-    delayed: RefCell<Vec<DelayedSend>>,
+    /// The fault-gated send path (disabled plane = one dead branch per
+    /// send); flushed on [`Drop`] so a held message is late, never
+    /// lost (unless scripted as a drop).
+    gate: SendGate,
     /// Send-buffer freelist shared by all ranks of this world: senders
     /// take encode buffers from it, receivers recycle decoded payloads
     /// into it.
@@ -131,14 +118,7 @@ impl Communicator {
     /// maximum.
     fn note_send(&self, dest: usize, tag: Tag, bytes: usize, depth: u64) {
         if let Some(stats) = &self.stats {
-            self.monitor.emit(
-                Some(self.rank),
-                EventKind::MessageSent {
-                    dest,
-                    tag: tag.0,
-                    bytes: bytes as u64,
-                },
-            );
+            self.gate.note_sent(dest, tag, bytes);
             let prev = stats.high_water[dest].fetch_max(depth, Ordering::Relaxed);
             if depth > prev {
                 self.monitor
@@ -198,39 +178,8 @@ impl Communicator {
                 size: self.size(),
             });
         }
-        if !self.faults.is_enabled() {
-            return self.send_now(dest, tag, payload);
-        }
-        // Every send ages the held-back messages; due ones leave first
-        // so a delayed message is overtaken by exactly `hold_sends`
-        // later sends.
-        self.flush_delayed(false)?;
-        let (seq, action) = self.faults.on_send(self.rank, dest, tag.0);
-        match action {
-            SendAction::Deliver => self.send_now(dest, tag, payload),
-            SendAction::Drop => {
-                self.note_fault(FaultKind::MessageDrop, seq);
-                Ok(())
-            }
-            SendAction::Duplicate => {
-                self.note_fault(FaultKind::MessageDuplicate, seq);
-                self.send_now(dest, tag, payload.clone())?;
-                self.send_now(dest, tag, payload)
-            }
-            SendAction::Delay { hold_sends } => {
-                self.note_fault(FaultKind::MessageDelay, seq);
-                if hold_sends == 0 {
-                    return self.send_now(dest, tag, payload);
-                }
-                self.delayed.borrow_mut().push(DelayedSend {
-                    remaining: hold_sends,
-                    dest,
-                    tag,
-                    payload,
-                });
-                Ok(())
-            }
-        }
+        self.gate
+            .send(dest, tag, payload, &|d, t, p| self.send_now(d, t, p))
     }
 
     /// The unfaulted send path: enqueue for `dest`, with monitored
@@ -255,48 +204,6 @@ impl Communicator {
                 Err(MpiError::Disconnected)
             }
         }
-    }
-
-    /// Ages held-back messages by one send and delivers the due ones
-    /// (or, with `force`, everything — the [`Drop`] path, so a delayed
-    /// message is late, never lost).
-    fn flush_delayed(&self, force: bool) -> Result<(), MpiError> {
-        if self.delayed.borrow().is_empty() {
-            return Ok(());
-        }
-        let due: Vec<DelayedSend> = {
-            let mut held = self.delayed.borrow_mut();
-            if !force {
-                for entry in held.iter_mut() {
-                    entry.remaining = entry.remaining.saturating_sub(1);
-                }
-            }
-            let mut due = Vec::new();
-            let mut i = 0;
-            while i < held.len() {
-                if force || held[i].remaining == 0 {
-                    due.push(held.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            due
-        };
-        for entry in due {
-            self.send_now(entry.dest, entry.tag, entry.payload)?;
-        }
-        Ok(())
-    }
-
-    /// Emits a `fault_injected` monitor event for a message fault.
-    fn note_fault(&self, kind: FaultKind, seq: u64) {
-        self.monitor.emit(
-            Some(self.rank),
-            EventKind::FaultInjected {
-                fault: kind.as_str().to_string(),
-                detail: Some(seq),
-            },
-        );
     }
 
     fn matches(env: &Envelope, source: Option<usize>, tag: Option<Tag>) -> bool {
@@ -409,7 +316,9 @@ impl Drop for Communicator {
         // A rank tearing down force-flushes anything the fault plane
         // was holding, so "delayed" can never silently become "lost".
         // Errors are ignored: the receiver may already be gone.
-        let _ = self.flush_delayed(true);
+        let _ = self
+            .gate
+            .flush_delayed(true, &|d, t, p| self.send_now(d, t, p));
     }
 }
 
@@ -499,8 +408,7 @@ impl World {
                 pending: VecDeque::new(),
                 monitor: monitor.clone(),
                 stats: stats.clone(),
-                faults: faults.clone(),
-                delayed: RefCell::new(Vec::new()),
+                gate: SendGate::new(rank, faults.clone(), monitor.clone()),
                 pool: Arc::clone(&pool),
             })
             .collect())
@@ -785,7 +693,7 @@ mod tests {
         let comms = World::communicators(2).unwrap();
         assert!(comms[0].stats.is_none());
         assert!(!comms[0].monitor.is_enabled());
-        assert!(!comms[0].faults.is_enabled());
+        assert!(!comms[0].gate.faults.is_enabled());
     }
 
     #[test]

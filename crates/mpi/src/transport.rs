@@ -10,12 +10,11 @@
 //!
 //! * the in-process thread substrate ([`Communicator`], this crate) —
 //!   ranks are OS threads exchanging [`Envelope`]s over channels;
-//! * the out-of-process socket substrate (`parmonc-ipc`) — ranks are
-//!   forked worker processes exchanging the same length-prefixed
-//!   envelopes over Unix-domain sockets;
-//! * the multi-host TCP substrate (`parmonc-ipc`'s `tcp` module) —
-//!   ranks are remote worker processes that dial the collector and
-//!   lease a rank via a versioned handshake, with elastic membership.
+//! * the socket substrate (`parmonc-ipc`) — ranks are worker
+//!   processes that dial the collector, lease a rank via a versioned
+//!   handshake (with elastic membership), and exchange the same
+//!   length-prefixed envelopes: spawned children over a Unix-domain
+//!   socket, or remote hosts over TCP.
 //!
 //! The collectives ([`Transport::barrier`] and friends) are provided
 //! methods layered on the point-to-point surface, so an implementor

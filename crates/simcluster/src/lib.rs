@@ -61,4 +61,4 @@ pub mod trace;
 pub use faults::{simulate_faulted, FaultedRun};
 pub use model::{ClusterConfig, ExchangePolicy, QuotaMode};
 pub use sim::{simulate, SimResult};
-pub use trace::{simulate_monitored, simulate_traced, CollectorActivity, Segment, TracedRun};
+pub use trace::{simulate_monitored, simulate_traced, Segment, TracedRun};

@@ -14,16 +14,11 @@
 //! stamps. A simulated and a real trace of the same configuration are
 //! therefore directly comparable, kind for kind.
 
-use parmonc_obs::{EventKind, Monitor, RunMode};
+use parmonc_obs::{CollectorActivity, EventKind, Monitor, RunMode};
 
 use crate::event::EventQueue;
 use crate::model::ClusterConfig;
 use crate::sim::SimResult;
-
-// The activity vocabulary moved to `parmonc-obs` so the real-thread
-// runner labels collector time identically; re-exported here for
-// source compatibility.
-pub use parmonc_obs::CollectorActivity;
 
 /// One contiguous activity segment on processor 0's timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,9 +1,10 @@
-//! Chaos integration: seeded fault matrices driven through three
+//! Chaos integration: seeded fault matrices driven through four
 //! engines — the real-thread runner (`mpi_*` tests), the virtual
-//! cluster simulator (`simcluster_*` tests), and the loopback TCP
-//! backend with scripted link severance (`tcp_*` tests) — plus the
-//! resume-after-crash and framing-robustness satellites. CI runs the
-//! prefixes as separate matrix jobs.
+//! cluster simulator (`simcluster_*` tests), the loopback TCP backend
+//! with scripted link severance (`tcp_*` tests), and the same
+//! severance over spawned worker processes (`process_*` tests) — plus
+//! the resume-after-crash and framing-robustness satellites. CI runs
+//! the prefixes as separate matrix jobs.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -11,7 +12,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parmonc::messages::Subtotal;
-use parmonc::prelude::{Exchange, NetOptions, Parmonc, RealizeFn, Resume, RunReport, Topology};
+use parmonc::prelude::{
+    Exchange, NetOptions, Parmonc, RealizeFn, Resume, RunReport, Topology, Transport,
+};
 use parmonc_faults::{mutate_bytes, FaultPlan, Mutation};
 use parmonc_mpi::bytes::Bytes;
 use parmonc_obs::{MemorySink, Monitor};
@@ -205,6 +208,39 @@ fn wait_for_addr(dir: &std::path::Path) -> String {
     }
 }
 
+/// The seeded severance plan of the socket chaos matrices: each worker
+/// rank's link is cut once, mid-run.
+fn severed_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed)
+        .sever_connection(1, 8 + seed)
+        .sever_connection(2, 20 + seed)
+}
+
+/// Asserts a severed-links run healed: nothing lost, full volume, an
+/// unbiased mean, and the rejoins on record.
+fn assert_severed_links_healed(report: &RunReport, seed: u64) {
+    assert!(
+        report.lost_workers.is_empty(),
+        "seed {seed}: lost {:?}",
+        report.lost_workers
+    );
+    assert!(
+        report.new_volume >= 900,
+        "seed {seed}: volume {}",
+        report.new_volume
+    );
+    assert!(
+        (report.summary.means[0] - 0.5).abs() < 0.06,
+        "seed {seed}: mean {}",
+        report.summary.means[0]
+    );
+    let kinds = validated_kinds(report);
+    assert!(
+        kinds.contains("worker_reconnected"),
+        "seed {seed}: trace never recorded a rejoin: {kinds:?}"
+    );
+}
+
 /// The CI chaos matrix, TCP half: seeded plans sever each worker's link
 /// mid-run; the seeded reconnect/backoff heals every outage, the run
 /// completes at full volume with no workers declared lost, and the
@@ -212,11 +248,7 @@ fn wait_for_addr(dir: &std::path::Path) -> String {
 #[test]
 fn tcp_chaos_matrix_severed_links_heal() {
     for seed in 0..4u64 {
-        let plan = move || {
-            FaultPlan::new(seed)
-                .sever_connection(1, 8 + seed)
-                .sever_connection(2, 20 + seed)
-        };
+        let plan = move || severed_plan(seed);
         let collector_dir = tempdir(&format!("tcp-matrix-c{seed}"));
         let collector = {
             let dir = collector_dir.clone();
@@ -255,27 +287,35 @@ fn tcp_chaos_matrix_severed_links_heal() {
             w.join().unwrap().unwrap();
         }
         let report = collector.join().unwrap().unwrap();
-        assert!(
-            report.lost_workers.is_empty(),
-            "seed {seed}: lost {:?}",
-            report.lost_workers
-        );
-        assert!(
-            report.new_volume >= 900,
-            "seed {seed}: volume {}",
-            report.new_volume
-        );
-        assert!(
-            (report.summary.means[0] - 0.5).abs() < 0.06,
-            "seed {seed}: mean {}",
-            report.summary.means[0]
-        );
-        let kinds = validated_kinds(&report);
-        assert!(
-            kinds.contains("worker_reconnected"),
-            "seed {seed}: trace never recorded a rejoin: {kinds:?}"
-        );
+        assert_severed_links_healed(&report, seed);
     }
+}
+
+/// The same severance plan over spawned worker processes: they join
+/// through the TCP backend's link layer, so a severed process link
+/// heals by rejoin too. One seed per test function — a re-executed
+/// worker diverts into the first `run()` its test function reaches —
+/// with a deterministic output directory that only the parent wipes.
+#[test]
+fn process_chaos_severed_links_heal() {
+    const SEED: u64 = 1;
+    let dir = std::env::temp_dir().join("parmonc-chaos-process-severed");
+    if !parmonc::ipc::is_worker() {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let report = Parmonc::builder(1, 1)
+        .max_sample_volume(900)
+        .processors(3)
+        .seqnum(SEED)
+        .exchange(Exchange::EveryRealization)
+        .faults(severed_plan(SEED))
+        .monitor()
+        .transport(Transport::Processes)
+        .worker_args(["process_chaos_severed_links_heal", "--exact"])
+        .output_dir(dir)
+        .run(uniform())
+        .unwrap();
+    assert_severed_links_healed(&report, SEED);
 }
 
 /// Tree-topology chaos, real-thread half: crashing an *interior relay*

@@ -111,11 +111,12 @@ fn assert_no_orphans() {
             continue;
         }
         // Our only children are re-executed workers; any survivor with
-        // the worker environment is an orphan.
+        // the worker environment (the parent's socket path) is an
+        // orphan.
         let environ = std::fs::read(format!("/proc/{pid}/environ")).unwrap_or_default();
         if environ
             .split(|&b| b == 0)
-            .any(|kv| kv.starts_with(b"PARMONC_WORKER_RANK="))
+            .any(|kv| kv.starts_with(b"PARMONC_WORKER_SOCKET="))
         {
             orphans.push(pid);
         }
@@ -178,9 +179,16 @@ fn process_and_thread_backends_agree() {
 
     // Identical monitor event vocabularies (timing may reorder events,
     // but both backends must surface the same *kinds* of observability).
-    // The socket backend additionally reports per-link wire telemetry,
-    // which a shared-memory run has no wire to measure.
+    // The socket backend additionally reports membership — spawned
+    // workers join through the same handshake as TCP workers — and
+    // per-link wire telemetry, which a shared-memory run has no wire
+    // to measure.
     let mut process_kinds = trace_kinds(&processes);
+    assert!(
+        process_kinds.remove("worker_joined"),
+        "join events recorded"
+    );
+    assert!(process_kinds.remove("worker_left"), "leave events recorded");
     assert!(
         process_kinds.remove("wire_stats"),
         "socket backend must flush its wire counters on shutdown"
@@ -192,6 +200,8 @@ fn process_and_thread_backends_agree() {
     let summary = processes.monitor.as_ref().expect("monitored run");
     assert_eq!(summary.dropped_events, 0);
     assert_eq!(summary.forwarded_dropped_events, 0);
+    assert_eq!(summary.workers_joined, 3);
+    assert_eq!(summary.workers_left, 3);
 
     assert_no_orphans();
 }
@@ -743,6 +753,9 @@ fn span_tracing_keeps_estimates_bit_identical_across_backends() {
         assert!(kinds.contains("span_started"), "kinds: {kinds:?}");
         assert!(kinds.contains("span_ended"), "kinds: {kinds:?}");
     }
+    let summary = traced_processes.monitor.as_ref().expect("monitored run");
+    assert_eq!(summary.dropped_events, 0);
+    assert_eq!(summary.forwarded_dropped_events, 0);
     assert!(!trace_kinds(&plain).contains("span_started"));
 
     // ... and the TCP collector's trace carries *worker* spans too:
@@ -916,11 +929,19 @@ fn tree_topology_agrees_with_star_on_thread_and_process_backends() {
     }
 
     // Same observability vocabulary as the star on the same substrate;
-    // the socket backend's wire telemetry is its usual extra.
+    // the socket backend's membership and wire telemetry are its usual
+    // extras.
     assert_eq!(trace_kinds(&tree_threads), trace_kinds(&star_threads));
     let mut process_kinds = trace_kinds(&tree_processes);
+    assert!(process_kinds.remove("worker_joined"));
+    assert!(process_kinds.remove("worker_left"));
     assert!(process_kinds.remove("wire_stats"));
     assert_eq!(process_kinds, trace_kinds(&star_threads));
+    let summary = tree_processes.monitor.as_ref().expect("monitored run");
+    assert_eq!(summary.dropped_events, 0);
+    assert_eq!(summary.forwarded_dropped_events, 0);
+    assert_eq!(summary.workers_joined, 6);
+    assert_eq!(summary.workers_left, 6);
 
     assert_no_orphans();
 }
