@@ -1,6 +1,6 @@
 //! Message-passing substrate costs: subtotal encode/decode at the
-//! paper's message size, point-to-point round trip, the gather
-//! pattern the collector runs, and — via a counting global allocator —
+//! paper's message size, point-to-point round trip, star-versus-tree
+//! gather scaling, and — via a counting global allocator —
 //! the bytes allocated per subtotal emit on the clone-encode path the
 //! runner used to take versus the pooled borrowed-encode path it takes
 //! now.
@@ -86,32 +86,6 @@ fn bench_ping_pong(c: &mut Criterion) {
                 } else {
                     let msg = comm.recv(Some(0), Some(Tag(1)))?;
                     comm.send_bytes(0, Tag(2), msg.payload)?;
-                    Ok(0)
-                }
-            })
-            .unwrap();
-            black_box(results)
-        })
-    });
-}
-
-fn bench_gather_pattern(c: &mut Criterion) {
-    // 8 workers each send 16 subtotal messages to rank 0 — a burst of
-    // the collector's steady-state load.
-    c.bench_function("collector_gather_8x16", |b| {
-        b.iter(|| {
-            let results = World::run(9, |comm| {
-                if comm.rank() == 0 {
-                    let mut bytes = 0usize;
-                    for _ in 0..8 * 16 {
-                        bytes += comm.recv(None, None)?.len();
-                    }
-                    Ok(bytes)
-                } else {
-                    let payload = paper_subtotal().encode();
-                    for _ in 0..16 {
-                        comm.send_bytes(0, Tag(1), payload.clone())?;
-                    }
                     Ok(0)
                 }
             })
@@ -234,7 +208,6 @@ criterion_group!(
     benches,
     bench_codec,
     bench_ping_pong,
-    bench_gather_pattern,
     bench_gather_scaling,
     bench_emit_alloc
 );

@@ -12,10 +12,11 @@
 
 use std::process::ExitCode;
 
+use parmonc_faults::FaultPlan;
 use parmonc_obs::{JsonlSink, Monitor};
 use parmonc_simcluster::figure2::{panel_series, render_panel, Panel};
 use parmonc_simcluster::hybrid::{compare_quota_modes, NodeClass};
-use parmonc_simcluster::{simulate, simulate_monitored, ClusterConfig, ExchangePolicy};
+use parmonc_simcluster::{simulate, simulate_with, ClusterConfig, ExchangePolicy};
 
 fn panels(filter: Option<char>) {
     for panel in Panel::ALL {
@@ -122,7 +123,8 @@ fn hybrid() {
 fn write_trace(path: &str, volume: u64) -> Result<(), String> {
     let sink = JsonlSink::create(path).map_err(|e| format!("creating {path}: {e}"))?;
     let monitor = Monitor::new(vec![Box::new(sink)]);
-    let run = simulate_monitored(&ClusterConfig::paper_testbed(4), volume, &monitor);
+    let config = ClusterConfig::paper_testbed(4);
+    let run = simulate_with(&config, volume, &FaultPlan::none(), 50.0, &monitor);
     if monitor.flush() > 0 {
         return Err(format!("dropped trace lines while writing {path}"));
     }

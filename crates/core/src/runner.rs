@@ -19,7 +19,6 @@ use parmonc_ipc::{
     JoinOptions, LeaseSnapshot, ListenOptions, SpawnOptions, TcpCollectorTransport,
     TcpWorkerTransport,
 };
-use parmonc_mpi::Transport as Comm;
 use parmonc_mpi::{Bytes, CollectionPlan, Envelope, MpiError, World};
 use parmonc_obs::{
     CollectorActivity, ConvergenceTracker, EventKind, JsonlSink, MemorySink, MetricsSink, Monitor,
@@ -609,7 +608,7 @@ pub(crate) fn run_socket_worker<R: Realize>(
     // The digest already proved both sides agree on the configuration;
     // this cross-check catches quota-dealing bugs, where agreement on
     // the inputs still produced a different split.
-    let rank = Comm::rank(&comm);
+    let rank = parmonc_mpi::Transport::rank(&comm);
     let granted = comm.granted_quota();
     if granted != config.quota(rank) {
         return Err(ParmoncError::Config(format!(
@@ -991,7 +990,7 @@ impl RelayBuffer {
 /// A vanished upstream relay degrades to the collector (retrying the
 /// same cumulative state, which cannot double-count); a vanished
 /// collector raises `lost_collector`.
-fn flush_relay<C: Comm>(
+fn flush_relay<C: parmonc_mpi::Transport>(
     comm: &std::cell::RefCell<C>,
     parent: &std::cell::Cell<usize>,
     relay: &std::cell::RefCell<RelayBuffer>,
@@ -1030,7 +1029,7 @@ fn flush_relay<C: Comm>(
 /// control orders from rank 0, subtotals from the subtree — then flush
 /// one coalesced batch upstream if anything changed.
 #[allow(clippy::too_many_arguments)] // internal plumbing
-fn relay_service<C: Comm>(
+fn relay_service<C: parmonc_mpi::Transport>(
     comm: &std::cell::RefCell<C>,
     rank: usize,
     size: usize,
@@ -1087,7 +1086,7 @@ fn relay_service<C: Comm>(
 }
 
 #[allow(clippy::too_many_arguments)] // internal: one call site per backend
-fn worker_loop<C: Comm, R: Realize + ?Sized>(
+fn worker_loop<C: parmonc_mpi::Transport, R: Realize + ?Sized>(
     comm: C,
     config: &RunConfig,
     hierarchy: &StreamHierarchy,
@@ -1283,7 +1282,7 @@ struct CollectorOutcome {
 /// across surviving workers that are still simulating; shares that
 /// cannot be delivered (no survivors, or the survivor exited between
 /// the liveness check and the send) fall to the collector itself.
-fn reassign<C: Comm>(
+fn reassign<C: parmonc_mpi::Transport>(
     live: &mut Liveness,
     from: usize,
     budget: u64,
@@ -1346,7 +1345,7 @@ fn reassign<C: Comm>(
 /// semantics make anything buffered in the dead relay redundant with
 /// the child's next send).
 #[allow(clippy::too_many_arguments)] // internal plumbing
-fn declare_lost<C: Comm>(
+fn declare_lost<C: parmonc_mpi::Transport>(
     live: &mut Liveness,
     dead: usize,
     config: &RunConfig,
@@ -1396,7 +1395,7 @@ fn declare_lost<C: Comm>(
 /// declared immediately — used when the transport reports all senders
 /// disconnected, so no further message can ever arrive.
 #[allow(clippy::too_many_arguments)] // internal plumbing
-fn check_liveness<C: Comm>(
+fn check_liveness<C: parmonc_mpi::Transport>(
     live: &mut Liveness,
     finals: &[bool],
     config: &RunConfig,
@@ -1433,7 +1432,7 @@ fn check_liveness<C: Comm>(
 /// Idempotent at the call sites: a relay re-flushing a batch can
 /// replay a final flag, so callers guard on `!finals[rank]`.
 #[allow(clippy::too_many_arguments)] // internal plumbing
-fn note_final<C: Comm>(
+fn note_final<C: parmonc_mpi::Transport>(
     rank: usize,
     state: &CollectorState,
     finals: &mut [bool],
@@ -1461,7 +1460,7 @@ fn note_final<C: Comm>(
 /// alike — so the estimate and the loss accounting are independent of
 /// how subtotals were routed.
 #[allow(clippy::too_many_arguments)] // internal plumbing
-fn collector_handle<C: Comm>(
+fn collector_handle<C: parmonc_mpi::Transport>(
     env: Envelope,
     state: &mut CollectorState,
     finals: &mut [bool],
@@ -1520,7 +1519,7 @@ fn collector_handle<C: Comm>(
 /// Notifies every worker of error-controlled stopping. A worker that
 /// already sent its final and exited has dropped its inbox; that is
 /// not an error for a stop notification.
-fn broadcast_stop<C: Comm>(comm: &C, size: usize) -> Result<(), ParmoncError> {
+fn broadcast_stop<C: parmonc_mpi::Transport>(comm: &C, size: usize) -> Result<(), ParmoncError> {
     for dest in 1..size {
         match comm.send(dest, TAG_STOP, &[]) {
             Ok(()) | Err(MpiError::Disconnected) => {}
@@ -1532,7 +1531,7 @@ fn broadcast_stop<C: Comm>(comm: &C, size: usize) -> Result<(), ParmoncError> {
 
 #[allow(clippy::too_many_arguments)] // internal: one call site per backend
 #[allow(clippy::too_many_lines)]
-fn rank0_loop<C: Comm, R: Realize + ?Sized>(
+fn rank0_loop<C: parmonc_mpi::Transport, R: Realize + ?Sized>(
     comm: &mut C,
     config: &RunConfig,
     hierarchy: &StreamHierarchy,

@@ -26,39 +26,41 @@
 //!
 //! # Example
 //!
-//! Simulate the paper's testbed and stream the run through a monitor
-//! using the same event schema as the real runner (see
-//! `docs/observability.md`):
+//! Simulate the paper's testbed with one worker crashing mid-run, and
+//! stream the run through a monitor using the same event schema as the
+//! real runner (see `docs/observability.md`):
 //!
 //! ```
 //! use std::sync::Arc;
+//! use parmonc_faults::FaultPlan;
 //! use parmonc_obs::{MemorySink, Monitor, MonitorSummary};
-//! use parmonc_simcluster::{simulate_monitored, ClusterConfig};
+//! use parmonc_simcluster::{simulate, simulate_with, ClusterConfig};
 //!
 //! let config = ClusterConfig::paper_testbed(8);
+//! let healthy = simulate(&config, 256);
+//!
 //! let sink = Arc::new(MemorySink::new());
 //! let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
-//! let run = simulate_monitored(&config, 256, &monitor);
+//! let plan = FaultPlan::new(1).crash_rank(3, 10);
+//! let run = simulate_with(&config, 256, &plan, 50.0, &monitor);
 //!
-//! // T_comp ≈ L·τ/M on the healthy testbed, and the trace agrees.
+//! // The lost rank's budget is re-simulated, so the volume is whole,
+//! // at the price of a later T_comp; the trace agrees with the run.
+//! assert_eq!(run.lost_workers, vec![3]);
+//! assert_eq!(run.result.realizations, 256);
+//! assert!(run.result.t_comp > healthy.t_comp);
 //! let summary = MonitorSummary::from_events(&sink.snapshot());
 //! assert_eq!(summary.total_realizations, Some(256));
 //! assert_eq!(summary.messages_received, run.result.messages);
-//! assert!(run.compute_utilization() > 0.9);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod event;
-pub mod faults;
 pub mod figure2;
 pub mod hybrid;
 pub mod model;
 pub mod sim;
-pub mod trace;
 
-pub use faults::{simulate_faulted, FaultedRun};
 pub use model::{ClusterConfig, ExchangePolicy, QuotaMode};
-pub use sim::{simulate, SimResult};
-pub use trace::{simulate_monitored, simulate_traced, Segment, TracedRun};
+pub use sim::{simulate, simulate_with, Segment, SimResult, SimRun};

@@ -17,8 +17,8 @@ use parmonc::prelude::{
 };
 use parmonc_faults::{mutate_bytes, FaultPlan, Mutation};
 use parmonc_mpi::bytes::Bytes;
-use parmonc_obs::{MemorySink, Monitor};
-use parmonc_simcluster::{simulate_faulted, ClusterConfig};
+use parmonc_obs::{CollectorActivity, EventKind, MemorySink, Monitor};
+use parmonc_simcluster::{simulate_with, ClusterConfig};
 use parmonc_stats::MatrixAccumulator;
 
 fn tempdir(name: &str) -> PathBuf {
@@ -151,10 +151,16 @@ fn mpi_chaos_matrix_eight_seeds() {
 
 /// The CI chaos matrix, virtual-time half: the same shape of fault
 /// plan replayed through the cluster simulator, with schema-validated
-/// fault events.
+/// fault events on top of the full fault-free vocabulary, and a
+/// gap-free collector timeline that accounts for the recovery work.
 #[test]
 fn simcluster_chaos_matrix_eight_seeds() {
     let config = ClusterConfig::paper_testbed(8);
+    let base: BTreeSet<&str> = EventKind::ALL_KINDS
+        .into_iter()
+        .filter(|k| !EventKind::FAULT_KINDS.contains(k))
+        .filter(|k| !EventKind::CONDITIONAL_KINDS.contains(k))
+        .collect();
     for seed in 0..8u64 {
         let victim = 1 + (seed as usize % 7);
         let plan = FaultPlan::new(seed)
@@ -162,7 +168,7 @@ fn simcluster_chaos_matrix_eight_seeds() {
             .drop_fraction(0.05);
         let sink = Arc::new(MemorySink::new());
         let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
-        let run = simulate_faulted(&config, 800, &plan, 50.0, &monitor);
+        let run = simulate_with(&config, 800, &plan, 50.0, &monitor);
         assert!(
             run.lost_workers.contains(&victim),
             "seed {seed}: lost {:?}",
@@ -184,6 +190,30 @@ fn simcluster_chaos_matrix_eight_seeds() {
         for kind in ["fault_injected", "worker_lost", "work_reassigned"] {
             assert!(kinds.contains(kind), "seed {seed}: no {kind} event");
         }
+        assert!(
+            kinds.is_superset(&base),
+            "seed {seed}: missing {:?}",
+            base.difference(&kinds).collect::<Vec<_>>()
+        );
+        let mut cursor = 0.0;
+        for seg in &run.collector_timeline {
+            assert!(
+                (seg.start - cursor).abs() < 1e-9,
+                "seed {seed}: gap at {cursor}"
+            );
+            assert!(seg.end > seg.start, "seed {seed}: empty segment");
+            cursor = seg.end;
+        }
+        assert!(
+            (cursor - run.result.t_comp).abs() < 1e-9,
+            "seed {seed}: timeline ends at {cursor}, T_comp {}",
+            run.result.t_comp
+        );
+        let recovery = run.reassigned_realizations as f64 * config.realization_duration(0);
+        assert!(
+            run.time_in(CollectorActivity::Computing) >= recovery,
+            "seed {seed}: reassigned work missing from the timeline"
+        );
     }
 }
 

@@ -9,8 +9,9 @@ use std::sync::Arc;
 
 use parmonc::prelude::{Exchange, Parmonc, RunReport};
 use parmonc_apps::PiEstimator;
+use parmonc_faults::FaultPlan;
 use parmonc_obs::{EventKind, MemorySink, Monitor};
-use parmonc_simcluster::{simulate_monitored, ClusterConfig};
+use parmonc_simcluster::{simulate_with, ClusterConfig};
 
 fn tempdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("parmonc-obs-{name}-{}", std::process::id()));
@@ -102,7 +103,8 @@ fn threads_and_simcluster_emit_the_same_event_kinds() {
 
     let sink = Arc::new(MemorySink::new());
     let monitor = Monitor::new(vec![Box::new(Arc::clone(&sink))]);
-    let _ = simulate_monitored(&ClusterConfig::paper_testbed(4), 64, &monitor);
+    let config = ClusterConfig::paper_testbed(4);
+    let _ = simulate_with(&config, 64, &FaultPlan::none(), 50.0, &monitor);
     let sim: BTreeSet<&str> = sink.snapshot().iter().map(|e| e.kind.name()).collect();
 
     assert_eq!(threads, sim);
@@ -167,16 +169,13 @@ fn metrics_prom_is_valid_prometheus_text() {
 fn metrics_plane_does_not_perturb_faulted_simulation() {
     // The deterministic virtual-time fault replay must be bit-identical
     // with the metrics plane attached or absent.
-    use parmonc_faults::FaultPlan;
-    use parmonc_simcluster::simulate_faulted;
-
     let config = ClusterConfig::paper_testbed(8);
     let plan = FaultPlan::new(11).crash_rank(3, 10).drop_fraction(0.05);
-    let plain = simulate_faulted(&config, 800, &plan, 50.0, &Monitor::disabled());
+    let plain = simulate_with(&config, 800, &plan, 50.0, &Monitor::disabled());
     let monitor = Monitor::new(vec![
         Box::new(Arc::new(MemorySink::new())),
         Box::new(parmonc_obs::MetricsSink::new()),
     ]);
-    let monitored = simulate_faulted(&config, 800, &plan, 50.0, &monitor);
+    let monitored = simulate_with(&config, 800, &plan, 50.0, &monitor);
     assert_eq!(plain, monitored);
 }
