@@ -590,7 +590,7 @@ impl ResultsDir {
 
 /// FNV-1a 64-bit hash — the checkpoint integrity checksum. Hand-rolled
 /// (8 lines) to keep the workspace dependency-free.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
