@@ -11,7 +11,8 @@ use std::time::Instant;
 
 use parmonc::messages::Subtotal;
 use parmonc_bench::harness::{
-    black_box, criterion_group, criterion_main, fast_mode, record_metric, Criterion, Throughput,
+    black_box, criterion_group, criterion_main, fast_mode, median_of, record_metric, Criterion,
+    Throughput,
 };
 use parmonc_mpi::collective::{barrier, gather_plan};
 use parmonc_mpi::{BufferPool, CollectionPlan, Tag, Topology, World};
@@ -68,10 +69,38 @@ fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("subtotal_codec");
     group.throughput(Throughput::Bytes(encoded.len() as u64));
     group.bench_function("encode_1000x2", |b| b.iter(|| black_box(subtotal.encode())));
+    // The runner's path: encode into a recycled pool buffer, so the
+    // timing is the codec's alone, not the allocator's.
+    let pool = BufferPool::new(1);
+    group.bench_function("encode_pooled_1000x2", |b| {
+        b.iter(|| {
+            let payload =
+                Subtotal::encode_state_pooled(&subtotal.acc, subtotal.compute_seconds, &pool);
+            black_box(payload[payload.len() - 1]);
+            pool.recycle(payload)
+        })
+    });
     group.bench_function("decode_1000x2", |b| {
         b.iter(|| black_box(Subtotal::decode(encoded.clone()).unwrap()))
     });
+    // The floor an encode can approach: one plain copy of the same
+    // number of bytes.
+    let mut copy = vec![0u8; encoded.len()];
+    group.bench_function("memcpy_32k", |b| {
+        b.iter(|| {
+            copy.copy_from_slice(black_box(&encoded));
+            black_box(copy[copy.len() - 1])
+        })
+    });
     group.finish();
+    // Gated (higher is better): a bulk encode costs about one memcpy,
+    // a per-element encode several times more.
+    if let (Some(memcpy), Some(encode)) = (
+        median_of("subtotal_codec/memcpy_32k"),
+        median_of("subtotal_codec/encode_pooled_1000x2"),
+    ) {
+        record_metric("ratio_subtotal_encode_vs_memcpy", memcpy / encode);
+    }
 }
 
 fn bench_ping_pong(c: &mut Criterion) {

@@ -1475,6 +1475,7 @@ fn collector_handle<C: parmonc_mpi::Transport>(
     let source = env.source;
     live.heard_from(source, now);
     if env.tag == TAG_HEARTBEAT {
+        comm.recycle(env.payload);
         return Ok(false);
     }
     if env.tag == TAG_BATCH {
@@ -1496,9 +1497,10 @@ fn collector_handle<C: parmonc_mpi::Transport>(
                     entry.rank, state, finals, live, config, comm, monitor, start, stopping,
                 );
             }
-            // Batch entry payloads alias one shared frame buffer —
-            // never recycle them into the pool.
         }
+        // The entries aliased the frame's buffer and are gone now, so
+        // the whole frame can go back to the pool.
+        comm.recycle(env.payload);
         return Ok(true);
     }
     if finals[source] {
@@ -1642,7 +1644,6 @@ fn rank0_loop<C: parmonc_mpi::Transport, R: Realize + ?Sized>(
                     },
                 );
             }
-            state.update_own(&acc, compute_seconds, now);
             if last_file_write.is_none_or(|t| now.duration_since(t) >= WORKER_FILE_PERIOD) {
                 dir.save_worker_state(0, &acc, compute_seconds)?;
                 last_file_write = Some(now);
@@ -1686,8 +1687,10 @@ fn rank0_loop<C: parmonc_mpi::Transport, R: Realize + ?Sized>(
         )?;
         if now.duration_since(last_average) >= config.averaging_period {
             // The running rank-0 subtotal must be visible to the
-            // save-point (and to the error-control check below) even
-            // between passes.
+            // save-point (and to the error-control check below). Its
+            // snapshot is refreshed only here and at the end — nothing
+            // reads it in between — so the strict exchange does not
+            // copy the accumulator after every realization.
             state.update_own(&acc, compute_seconds, now);
             let save_started = Instant::now();
             let eps_max = save_point(

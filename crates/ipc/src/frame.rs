@@ -15,6 +15,8 @@
 
 use std::io::{self, Read, Write};
 
+use parmonc_mpi::pool::BufferPool;
+
 /// Retired: the process backend's old hello handshake (payload = spawn
 /// token). Process worlds now speak the join/grant handshake; the tag
 /// stays reserved and is never sent.
@@ -564,6 +566,32 @@ pub fn write_frame_seq(
 /// An I/O error, a mid-frame EOF (`ErrorKind::UnexpectedEof` — a torn
 /// frame), or a length prefix past [`MAX_FRAME_LEN`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
+    read_frame_with(r, |len| vec![0u8; len])
+}
+
+/// [`read_frame`] into a payload buffer taken from `pool` — the
+/// collector's link readers, whose subtotal payloads the runner
+/// recycles into the same pool once decoded, so steady-state traffic
+/// reads into a handful of reused buffers instead of allocating one
+/// per frame.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub fn read_frame_pooled(r: &mut impl Read, pool: &BufferPool) -> io::Result<Option<Frame>> {
+    read_frame_with(r, |len| {
+        let mut payload = pool.take(len).into_vec();
+        payload.resize(len, 0);
+        payload
+    })
+}
+
+/// Reads one frame, taking the payload buffer (`len` bytes long) from
+/// `payload_buf`.
+fn read_frame_with(
+    r: &mut impl Read,
+    payload_buf: impl FnOnce(usize) -> Vec<u8>,
+) -> io::Result<Option<Frame>> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut filled = 0;
     while filled < header.len() {
@@ -590,7 +618,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
             "frame length prefix exceeds the protocol maximum",
         ));
     }
-    let mut payload = vec![0u8; len];
+    let mut payload = payload_buf(len);
     r.read_exact(&mut payload)?;
     Ok(Some(Frame {
         source,

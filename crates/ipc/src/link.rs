@@ -11,11 +11,12 @@ use std::time::Duration;
 use parmonc_mpi::bytes::Bytes;
 use parmonc_mpi::envelope::{Envelope, Tag};
 use parmonc_mpi::error::MpiError;
+use parmonc_mpi::pool::BufferPool;
 use parmonc_obs::{Event, EventKind, EventSink, Monitor};
 
 use crate::frame::{
-    read_frame, write_frame, ClockSync, Frame, FRAME_HEADER_LEN, TAG_IPC_EVENT, TAG_TCP_CLOCK,
-    TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY,
+    read_frame, read_frame_pooled, write_frame, ClockSync, Frame, FRAME_HEADER_LEN, TAG_IPC_EVENT,
+    TAG_TCP_CLOCK, TAG_TCP_CLOCK_PROBE, TAG_TCP_CLOCK_REPLY,
 };
 
 /// Per-link wire counters, shared between the link's reader thread and
@@ -384,6 +385,12 @@ pub(crate) struct LinkHooks {
     /// frames keep the link's exactly-once guarantee. Hubless readers
     /// leave this `None` and routed frames are dropped.
     pub route: Option<FrameHook>,
+    /// Where inbound payload buffers come from: the collector's
+    /// transport pool, into which the runner recycles each subtotal
+    /// once decoded, and to which this reader returns the buffers of
+    /// frames it consumes itself. Worker-side readers pass `None` and
+    /// allocate (they receive only rare control frames).
+    pub pool: Option<Arc<BufferPool>>,
 }
 
 /// A reader-thread callback handed one decoded [`Frame`]; see
@@ -418,54 +425,70 @@ pub(crate) fn pump_frames(stream: impl Read, tx: Sender<Envelope>, hooks: LinkHo
         clock,
         clock_responder,
         route,
+        pool,
     } = hooks;
+    // Whether a frame goes to the inbox; `false` once the reader has
+    // consumed (or dropped) it here.
+    let enqueue = |frame: &Frame| -> bool {
+        if expect_source.is_some_and(|s| frame.source != s) {
+            return false;
+        }
+        if frame.tag == TAG_IPC_EVENT {
+            if let Ok(text) = std::str::from_utf8(&frame.payload) {
+                if let Ok(event) = parmonc_obs::schema::parse_line(text) {
+                    match &clock {
+                        Some(clock) => monitor.emit_aligned(
+                            clock.normalize(event.time_s),
+                            Some(event.time_s),
+                            event.rank,
+                            event.kind,
+                        ),
+                        None => monitor.emit_at(event.time_s, event.rank, event.kind),
+                    }
+                }
+            }
+            return false;
+        }
+        if frame.tag == TAG_TCP_CLOCK {
+            if let (Some(clock), Some(sync)) = (&clock, ClockSync::decode(&frame.payload)) {
+                clock.set_offset(sync.offset_s);
+            }
+            return false;
+        }
+        if frame.tag == TAG_TCP_CLOCK_PROBE || frame.tag == TAG_TCP_CLOCK_REPLY {
+            clock_responder(frame);
+            return false;
+        }
+        if let Some(last) = &dedup {
+            if !admit_seq(last, frame.seq) {
+                // A replay of a frame that already made it through
+                // before the link broke.
+                wire.count_dedup_drop();
+                return false;
+            }
+        }
+        if frame.tag == crate::frame::TAG_IPC_ROUTE {
+            // Past dedup: a routed frame is forwarded at most once even
+            // across reconnect replays.
+            if let Some(route) = &route {
+                route(frame);
+            }
+            return false;
+        }
+        true
+    };
     let mut reader = BufReader::new(stream);
     loop {
-        match read_frame(&mut reader) {
+        let next = match &pool {
+            Some(pool) => read_frame_pooled(&mut reader, pool),
+            None => read_frame(&mut reader),
+        };
+        match next {
             Ok(Some(frame)) => {
                 wire.count_in(FRAME_HEADER_LEN + frame.payload.len());
-                if expect_source.is_some_and(|s| frame.source != s) {
-                    continue;
-                }
-                if frame.tag == TAG_IPC_EVENT {
-                    if let Ok(text) = std::str::from_utf8(&frame.payload) {
-                        if let Ok(event) = parmonc_obs::schema::parse_line(text) {
-                            match &clock {
-                                Some(clock) => monitor.emit_aligned(
-                                    clock.normalize(event.time_s),
-                                    Some(event.time_s),
-                                    event.rank,
-                                    event.kind,
-                                ),
-                                None => monitor.emit_at(event.time_s, event.rank, event.kind),
-                            }
-                        }
-                    }
-                    continue;
-                }
-                if frame.tag == TAG_TCP_CLOCK {
-                    if let (Some(clock), Some(sync)) = (&clock, ClockSync::decode(&frame.payload)) {
-                        clock.set_offset(sync.offset_s);
-                    }
-                    continue;
-                }
-                if frame.tag == TAG_TCP_CLOCK_PROBE || frame.tag == TAG_TCP_CLOCK_REPLY {
-                    clock_responder(&frame);
-                    continue;
-                }
-                if let Some(last) = &dedup {
-                    if !admit_seq(last, frame.seq) {
-                        // A replay of a frame that already made it
-                        // through before the link broke.
-                        wire.count_dedup_drop();
-                        continue;
-                    }
-                }
-                if frame.tag == crate::frame::TAG_IPC_ROUTE {
-                    // Past dedup: a routed frame is forwarded at most
-                    // once even across reconnect replays.
-                    if let Some(route) = &route {
-                        route(&frame);
+                if !enqueue(&frame) {
+                    if let Some(pool) = &pool {
+                        pool.recycle(Bytes::from(frame.payload));
                     }
                     continue;
                 }

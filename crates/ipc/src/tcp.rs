@@ -468,6 +468,8 @@ struct AcceptorCtx {
     persist: Option<std::path::PathBuf>,
     trace_spans: bool,
     parents: Vec<usize>,
+    /// The collector's buffer pool, which the link readers read into.
+    pool: Arc<BufferPool>,
 }
 
 /// Rank 0 of a socket world: the listener, lease table, and
@@ -482,7 +484,9 @@ struct AcceptorCtx {
 #[derive(Debug)]
 pub struct TcpCollectorTransport {
     size: usize,
-    pool: BufferPool,
+    /// Shared with every link reader: readers take inbound payload
+    /// buffers from it and the runner recycles decoded subtotals back.
+    pool: Arc<BufferPool>,
     monitor: Monitor,
     gate: SendGate,
     mailbox: Mailbox,
@@ -581,6 +585,7 @@ impl TcpCollectorTransport {
         }
 
         let doorbell = Doorbell::default();
+        let pool = Arc::new(BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY));
         let ctx = Arc::new(AcceptorCtx {
             stop: Arc::clone(&stop),
             doorbell: Arc::clone(&doorbell),
@@ -598,6 +603,7 @@ impl TcpCollectorTransport {
             persist: opts.persist.clone(),
             trace_spans: opts.trace_spans,
             parents: opts.parents,
+            pool: Arc::clone(&pool),
         });
         let acceptor = std::thread::Builder::new()
             .name("parmonc-link-accept".into())
@@ -605,7 +611,7 @@ impl TcpCollectorTransport {
 
         Ok(Self {
             size: opts.size,
-            pool: BufferPool::new(parmonc_mpi::pool::DEFAULT_POOL_CAPACITY),
+            pool,
             monitor: opts.monitor.clone(),
             gate: SendGate::new(0, opts.faults, opts.monitor.clone()),
             mailbox: Mailbox::new(0, rx, opts.monitor, Arc::clone(&stats)),
@@ -1195,6 +1201,7 @@ fn admit(stream: Stream, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
             let monitor = ctx.monitor.clone();
             let stats = Arc::clone(&ctx.stats);
             let lease = Arc::clone(&ctx.lease);
+            let pool = Arc::clone(&ctx.pool);
             move || {
                 pump_frames(
                     reader,
@@ -1209,6 +1216,7 @@ fn admit(stream: Stream, peer: Option<String>, ctx: &AcceptorCtx) -> io::Result<
                         clock: Some(clock),
                         clock_responder: responder,
                         route: Some(route),
+                        pool: Some(pool),
                     },
                 );
                 // The connection is gone (worker exit, crash, rejoin
@@ -1572,6 +1580,7 @@ impl TcpWorkerTransport {
                 move || clock_epoch.elapsed().as_secs_f64() + skew_s,
             ),
             route: None,
+            pool: None,
         };
         let tx = self.tx.clone();
         let handle = std::thread::Builder::new()
@@ -1796,6 +1805,9 @@ impl TcpWorkerTransport {
         if result.is_ok() {
             self.gate.note_sent(dest, tag, payload.len());
         }
+        // The frame is on the wire (or lost with the link): the next
+        // encode reuses its buffer.
+        self.pool.recycle(payload);
         result
     }
 
@@ -1966,8 +1978,17 @@ mod tests {
         quotas: Vec<u64>,
         resume: Option<LeaseSnapshot>,
     ) -> TcpCollectorTransport {
+        listen_on("127.0.0.1:0".into(), size, quotas, resume)
+    }
+
+    fn listen_on(
+        addr: String,
+        size: usize,
+        quotas: Vec<u64>,
+        resume: Option<LeaseSnapshot>,
+    ) -> TcpCollectorTransport {
         TcpCollectorTransport::listen(ListenOptions {
-            addr: "127.0.0.1:0".into(),
+            addr,
             size,
             monitor: Monitor::disabled(),
             faults: FaultHandle::disabled(),
@@ -2052,6 +2073,57 @@ mod tests {
         collector.send(1, Tag(9), b"ack").unwrap();
         worker_side.join().unwrap();
         collector.shutdown().unwrap();
+    }
+
+    /// The socket links close the send-buffer loop: the worker
+    /// recycles each payload once it is on the wire, the collector's
+    /// reader reads into buffers from the collector's pool, and the
+    /// collector recycles each drained payload back. A thousand
+    /// strict-mode subtotals therefore circulate one buffer per side
+    /// instead of allocating per frame and parking dozens of idle ones.
+    #[test]
+    fn socket_links_recycle_subtotal_buffers() {
+        // The runner's `TAG_SUBTOTAL`, at the paper's 1000×2 size.
+        const SUBTOTAL: Tag = Tag(1);
+        const LEN: usize = 48 + 16 * 2000;
+        let dir = std::env::temp_dir().join(format!("parmonc-pool-loop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let endpoint = crate::stream::unix_endpoint(&dir.join("rank0.sock"));
+        let mut collector = listen_on(endpoint, 2, vec![1000], None);
+        let worker = join(collector.local_addr().to_string(), 42).expect("join succeeds");
+        let block = vec![0xA5u8; LEN];
+        let mut reused = 0;
+        let mut last_buffer = None;
+        for i in 0..1000u32 {
+            let mut w = worker.pool().take(LEN);
+            w.put_slice(&i.to_le_bytes());
+            w.put_slice(&block[4..]);
+            let payload = w.freeze();
+            let buffer = payload.as_ptr();
+            if last_buffer == Some(buffer) {
+                reused += 1;
+            }
+            last_buffer = Some(buffer);
+            worker.send_bytes(0, SUBTOTAL, payload).unwrap();
+
+            let env = collector.recv(Some(1), Some(SUBTOTAL)).unwrap();
+            assert_eq!(env.payload.len(), LEN);
+            assert_eq!(env.payload[..4], i.to_le_bytes());
+            assert_eq!(env.payload[LEN - 1], 0xA5);
+            collector.recycle(env.payload);
+            assert!(
+                collector.pool().idle() <= 4,
+                "frame {i}: {} idle buffers parked in the collector pool",
+                collector.pool().idle()
+            );
+        }
+        assert_eq!(
+            reused, 999,
+            "the worker's pool must hand back its sent buffer"
+        );
+        drop(worker);
+        collector.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

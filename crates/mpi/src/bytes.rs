@@ -151,6 +151,20 @@ impl Bytes {
     pub fn get_f64_le(&mut self) -> f64 {
         f64::from_bits(self.get_u64_le())
     }
+
+    /// Consumes `8 * out.len()` bytes from the front into `out`, one
+    /// little-endian `f64` (raw bits, so NaN payloads survive) per
+    /// slot — a single pass over the bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `8 * out.len()` bytes remain.
+    pub fn get_f64_slice_le(&mut self, out: &mut [f64]) {
+        let src = self.take(8 * out.len());
+        for (slot, chunk) in out.iter_mut().zip(src.chunks_exact(8)) {
+            *slot = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+        }
+    }
 }
 
 impl Default for Bytes {
@@ -267,10 +281,27 @@ impl BytesMut {
         self.put_u64_le(v.to_bits());
     }
 
+    /// Appends every `f64` of `vs` little-endian (raw bits, so NaNs
+    /// round-trip) — a single pass over the bytes.
+    pub fn put_f64_slice_le(&mut self, vs: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * vs.len(), 0);
+        for (chunk, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            chunk.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Finalizes into an immutable [`Bytes`].
     #[must_use]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
+    }
+
+    /// Unwraps the builder's `Vec` (contents and capacity kept) — for
+    /// a reader that fills a pooled buffer straight from a stream.
+    #[must_use]
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
     }
 }
 
@@ -290,6 +321,26 @@ mod tests {
         assert_eq!(b.get_u64_le(), 7);
         assert_eq!(b.get_f64_le(), -2.5);
         assert!(b.get_f64_le().is_nan());
+        assert_eq!(b.remaining(), 0);
+    }
+
+    #[test]
+    fn f64_slices_round_trip_bitwise() {
+        let vs = [
+            1.5,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::INFINITY,
+        ];
+        let mut w = BytesMut::new();
+        w.put_u64_le(9);
+        w.put_f64_slice_le(&vs);
+        assert_eq!(w.len(), 40);
+        let mut b = w.freeze();
+        assert_eq!(b.get_u64_le(), 9);
+        let mut out = [0.0; 4];
+        b.get_f64_slice_le(&mut out);
+        assert_eq!(out.map(f64::to_bits), vs.map(f64::to_bits));
         assert_eq!(b.remaining(), 0);
     }
 

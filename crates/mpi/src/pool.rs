@@ -69,12 +69,12 @@ impl BufferPool {
 
     /// Returns a payload's backing allocation to the freelist.
     ///
-    /// Succeeds only when `payload` is the last handle to its
+    /// Succeeds only when `payload` is the last handle to a real
     /// allocation and the pool is not full; otherwise the buffer is
     /// dropped normally and `false` is returned (which is fine — the
     /// pool is an optimization, not an obligation).
     pub fn recycle(&self, payload: Bytes) -> bool {
-        let Some(v) = payload.try_reclaim() else {
+        let Some(v) = payload.try_reclaim().filter(|v| v.capacity() > 0) else {
             return false;
         };
         let mut free = self.free.lock().expect("buffer pool lock poisoned");
@@ -125,6 +125,13 @@ mod tests {
         assert_eq!(pool.idle(), 0);
         assert!(pool.recycle(clone));
         assert_eq!(pool.idle(), 1);
+    }
+
+    #[test]
+    fn unallocated_buffers_are_not_retained() {
+        let pool = BufferPool::new(4);
+        assert!(!pool.recycle(Bytes::from(Vec::new())));
+        assert_eq!(pool.idle(), 0);
     }
 
     #[test]
