@@ -449,12 +449,7 @@ impl World {
             match handle.join() {
                 Ok(res) => results.push(res),
                 Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                    panic.get_or_insert(MpiError::RankPanicked { rank, message });
+                    panic.get_or_insert(MpiError::rank_panicked(rank, &*payload));
                     results.push(Err(MpiError::Disconnected));
                 }
             }

@@ -15,8 +15,8 @@ pub enum MpiError {
     /// The peer ranks disconnected (a rank panicked or exited early)
     /// while this rank was blocked in `recv` or a collective.
     Disconnected,
-    /// A rank panicked inside [`crate::World::run`]; the panic message
-    /// is preserved when it was a string.
+    /// A rank panicked; the panic message is preserved when it was a
+    /// string.
     RankPanicked {
         /// The rank that panicked.
         rank: usize,
@@ -30,6 +30,20 @@ pub enum MpiError {
     },
     /// `World::run` was asked for zero ranks.
     EmptyWorld,
+}
+
+impl MpiError {
+    /// The [`MpiError::RankPanicked`] for `rank`, whose thread panicked
+    /// with `payload`; the panic message is kept when it is a string.
+    #[must_use]
+    pub fn rank_panicked(rank: usize, payload: &(dyn std::any::Any + Send)) -> Self {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string panic payload>".to_string());
+        Self::RankPanicked { rank, message }
+    }
 }
 
 impl fmt::Display for MpiError {

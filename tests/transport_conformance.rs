@@ -36,9 +36,11 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use parmonc::prelude::{
-    Exchange, NetOptions, Parmonc, ParmoncBuilder, RealizeFn, RunReport, Topology, Transport,
+    Exchange, NetOptions, Parmonc, ParmoncBuilder, ParmoncError, RealizeFn, RunReport, Topology,
+    Transport,
 };
 use parmonc_faults::FaultPlan;
+use parmonc_mpi::MpiError;
 
 /// Serializes the tests in this binary: each spawns child processes of
 /// this same test process, so the no-orphan scan below must not see a
@@ -1019,4 +1021,28 @@ fn tree_topology_agrees_with_star_over_tcp() {
     let summary = tcp_tree.monitor.expect("monitored run");
     assert_eq!(summary.workers_joined, 4);
     assert_eq!(summary.workers_left, 4);
+}
+
+/// A panicking routine is reported as rank 0's `RankPanicked`, with the
+/// panic text, on the process backend exactly as on threads — and the
+/// spawned world is still torn down, leaving no orphan behind.
+#[test]
+fn process_backend_reports_a_rank_panic() {
+    let _guard = SEQ.lock().unwrap_or_else(|e| e.into_inner());
+    let err = builder_for("process_backend_reports_a_rank_panic", 1, 1)
+        .max_sample_volume(300)
+        .processors(3)
+        .transport(Transport::Processes)
+        .output_dir(scratch("panic-processes"))
+        .run(RealizeFn::new(|_, _| panic!("the routine gave up")))
+        .unwrap_err();
+    match err {
+        ParmoncError::Mpi(MpiError::RankPanicked { rank, message }) => {
+            assert_eq!(rank, 0);
+            assert!(message.contains("the routine gave up"), "{message}");
+        }
+        other => panic!("expected rank 0's panic, got {other}"),
+    }
+
+    assert_no_orphans();
 }
